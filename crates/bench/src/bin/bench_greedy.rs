@@ -1,24 +1,24 @@
 //! `bench_greedy` — the greedy-engine ablation harness behind
 //! `BENCH_greedy.json`.
 //!
-//! Runs the marginal-greedy engines (sequential, CELF-lazy, pooled parallel
-//! scan, lazy-parallel hybrid, and the inverted delta-propagation pair) on
-//! one large grid instance, checks their placements are identical, and
-//! writes wall-clock times, speedups versus the sequential baseline, and
-//! gain-evaluation / delta-push counts as JSON. Pooled engines are timed at
-//! every thread configuration in `POOL_THREADS`, the inverted-index build is
-//! timed at one and four threads, and the SoA gain kernel gets its own
-//! throughput row (scalar reference versus the laned kernel).
+//! Runs the three sequential marginal-greedy engines (plain scan, CELF-lazy
+//! and inverted delta-propagation) on one large grid instance, checks their
+//! placements are identical, and writes wall-clock times, speedups versus
+//! the plain scan, and gain-evaluation / delta-push counts as JSON. The
+//! inverted engine is timed warm (prebuilt index) and cold (index built at
+//! every thread count in `INDEX_THREADS`), the index build gets its own
+//! rows, and the SoA gain kernel gets a throughput row (scalar reference
+//! versus the laned kernel).
 //!
 //! Cold-index rows time the index build and the solve separately: the row's
 //! `wall_clock_ms` (and so `speedup_vs_marginal`) is solve-only, with the
 //! one-off build cost in `index_build_ms` next to it.
 //!
-//! Scaling gates: every pooled engine must be faster at four threads than at
-//! one (10% tolerance), and the cold four-thread index build plus solve must
-//! stay within 2x of the warm solve. Failing gates are re-measured up to
-//! three times and judged on medians; they hard-fail only on hosts with at
-//! least four cores (CI), and warn elsewhere.
+//! Cold-start gate (full scale only): the four-thread index build plus solve
+//! must stay within 2x of the warm solve plus a one-thread build. A failing
+//! gate is re-measured up to three times and judged on medians; it
+//! hard-fails only on hosts with at least four cores (CI), and warns
+//! elsewhere.
 //!
 //! Usage: `cargo run --release -p rap-bench --bin bench_greedy [--smoke] [OUT.json]`
 //! (default output path `BENCH_greedy.json` in the current directory; with
@@ -26,23 +26,19 @@
 
 use rap_bench::grid_scenario;
 use rap_core::{
-    kernel, InvertedGainEngine, InvertedIndex, InvertedPooledGreedy, LazyGreedy,
-    LazyParallelGreedy, MarginalGreedy, ParallelGreedy, Placement, Scenario, UtilityKind,
+    kernel, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, Placement, Scenario,
+    UtilityKind,
 };
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Thread configurations timed for the pooled engines and the index build.
-const POOL_THREADS: [usize; 2] = [1, 4];
+/// Thread configurations timed for the inverted-index build.
+const INDEX_THREADS: [usize; 2] = [1, 4];
 
 /// A failing timing gate is re-measured this many times before the verdict;
 /// the comparison always runs on medians.
 const GATE_RETRIES: usize = 3;
-
-/// Multiplicative slack on the pooled scaling gates: four threads must beat
-/// `1.10 x` the one-thread time.
-const GATE_TOLERANCE: f64 = 1.10;
 
 /// Flops charged per kernel entry in the throughput row: subtract, max,
 /// accumulate.
@@ -58,8 +54,7 @@ struct Config {
 
 impl Config {
     /// Benchmark scale: comfortably above the 50×50-grid / 2,000-flow /
-    /// k = 20 floor so the parallel engines have real work to amortize their
-    /// pools.
+    /// k = 20 floor, and above the parallel index build's size cutoff.
     fn full() -> Config {
         Config {
             grid_side: 60,
@@ -70,10 +65,7 @@ impl Config {
     }
 
     /// CI smoke scale: finishes in seconds while still exercising every
-    /// engine, the placement-identity assertions, and the scaling gates.
-    /// Large enough that a pool round carries real scan work — on a tiny
-    /// instance the per-round coordination would drown the parallel win and
-    /// make the scaling gates meaningless.
+    /// engine and the placement-identity assertions.
     fn smoke() -> Config {
         Config {
             grid_side: 40,
@@ -107,7 +99,7 @@ struct ScenarioMeta {
     flows: usize,
     k: usize,
     utility: String,
-    pool_threads: Vec<usize>,
+    index_threads: Vec<usize>,
     timed_runs: usize,
     host_threads: usize,
     index_build: Vec<IndexBuildTiming>,
@@ -117,7 +109,6 @@ struct ScenarioMeta {
 #[derive(Serialize)]
 struct EngineResult {
     name: String,
-    threads: usize,
     /// Solve-only wall clock; index construction, where an engine performs
     /// one, is split out into `index_build_ms`.
     wall_clock_ms: f64,
@@ -225,7 +216,6 @@ fn record(
     engines: &mut Vec<EngineResult>,
     scenario: &Scenario,
     name: &str,
-    threads: usize,
     timed: &Timed,
     baseline: &Timed,
     index_build_ms: f64,
@@ -233,10 +223,10 @@ fn record(
 ) {
     assert_eq!(
         timed.placement, baseline.placement,
-        "{name} (threads = {threads}) diverged from marginal greedy"
+        "{name} diverged from marginal greedy"
     );
     eprintln!(
-        "{name} [threads = {threads}]: {:.2} ms solve{}, {} gain evals, {} delta pushes",
+        "{name}: {:.2} ms solve{}, {} gain evals, {} delta pushes",
         timed.seconds * 1e3,
         if index_build_threads > 0 {
             format!(" + {index_build_ms:.2} ms index build @ {index_build_threads}t")
@@ -248,7 +238,6 @@ fn record(
     );
     engines.push(EngineResult {
         name: name.to_string(),
-        threads,
         wall_clock_ms: timed.seconds * 1e3,
         index_build_ms,
         index_build_threads,
@@ -308,7 +297,7 @@ fn kernel_throughput(scenario: &Scenario, runs: usize) -> KernelThroughput {
 /// `lhs`/`rhs` re-measure one sample each; the gate passes when
 /// `median(lhs samples) < median(rhs samples)`. Hard gates panic on failure,
 /// soft gates warn (hosts without enough cores cannot honestly enforce a
-/// scaling claim).
+/// claim about a threaded build).
 fn timing_gate(
     label: &str,
     hard: bool,
@@ -373,8 +362,9 @@ fn main() {
         Config::full()
     };
     let host_threads = std::thread::available_parallelism().map_or(1, usize::from);
-    // Scaling gates are honest claims only with enough cores under them; CI
-    // runners have four, this hard-enforces there and warns elsewhere.
+    // The cold-start gate is an honest claim only with enough cores under
+    // the threaded build; CI runners have four, this hard-enforces there and
+    // warns elsewhere.
     let hard_gates = host_threads >= 4;
 
     eprintln!(
@@ -384,10 +374,10 @@ fn main() {
     let scenario = grid_scenario(cfg.grid_side, cfg.flows, UtilityKind::Linear);
     let k = cfg.k;
 
-    // Index build at one and four threads, timed on its own: the cold rows
-    // and the cold-vs-warm gate both read from this.
+    // Index build at one and four threads, timed on its own: the cold-start
+    // gate reads the one-thread build from here.
     let mut index_build: Vec<IndexBuildTiming> = Vec::new();
-    for threads in POOL_THREADS {
+    for threads in INDEX_THREADS {
         let ms = median_secs(cfg.runs, || {
             black_box(InvertedIndex::build_with_threads(&scenario, threads));
         }) * 1e3;
@@ -413,7 +403,6 @@ fn main() {
         &mut engines,
         &scenario,
         "marginal greedy",
-        1,
         &seq,
         &seq,
         0.0,
@@ -428,7 +417,6 @@ fn main() {
         &mut engines,
         &scenario,
         "lazy greedy (CELF)",
-        1,
         &lazy,
         &seq,
         0.0,
@@ -436,7 +424,7 @@ fn main() {
     );
 
     // Warm row: the flow→candidate index is built once and reused across
-    // solves in practice (streaming maintainer, repeated budgets).
+    // solves in practice (streaming maintainer, serving `/topk`).
     let inv = time_median(cfg.runs, || {
         let (p, rep) = InvertedGainEngine.place_with_index(&scenario, &index, k);
         (p, rep.gain_evals, rep.delta_pushes)
@@ -445,191 +433,59 @@ fn main() {
         &mut engines,
         &scenario,
         "inverted delta-propagation greedy",
-        1,
         &inv,
         &seq,
         0.0,
         0,
     );
 
-    // Cold row: the one-shot CLI use case pays the index build too. The
+    // Cold rows: the one-shot CLI use case pays the index build too. The
     // build is timed inside the repetition but reported in its own column so
-    // the speedup stays a solve-vs-solve comparison.
-    let (cold_build_s, inv_cold) = time_cold(
-        cfg.runs,
-        || InvertedIndex::build(&scenario),
-        |fresh| {
-            let (p, rep) = InvertedGainEngine.place_with_index(&scenario, fresh, k);
-            (p, rep.gain_evals, rep.delta_pushes)
-        },
-    );
-    record(
-        &mut engines,
-        &scenario,
-        "inverted delta-propagation greedy (cold index)",
-        1,
-        &inv_cold,
-        &seq,
-        cold_build_s * 1e3,
-        1,
-    );
-
-    // Pooled engines at every thread configuration; per-engine timings are
-    // kept so the scaling gates can compare one- and four-thread medians.
-    let mut pooled_secs: Vec<(String, usize, f64)> = Vec::new();
-    for threads in POOL_THREADS {
-        let parallel = ParallelGreedy::with_threads(threads);
-        let par = time_median(cfg.runs, || {
-            let (p, evals) = parallel.place_with_stats(&scenario, k);
-            (p, evals, 0)
-        });
+    // the speedup stays a solve-vs-solve comparison. The last (widest) row's
+    // build + solve total feeds the cold-start gate below.
+    let mut cold_total_s = 0.0;
+    for threads in INDEX_THREADS {
+        let (build_s, inv_cold) = time_cold(
+            cfg.runs,
+            || InvertedIndex::build_with_threads(&scenario, threads),
+            |fresh| {
+                let (p, rep) = InvertedGainEngine.place_with_index(&scenario, fresh, k);
+                (p, rep.gain_evals, rep.delta_pushes)
+            },
+        );
         record(
             &mut engines,
             &scenario,
-            "parallel marginal greedy",
-            threads,
-            &par,
+            "inverted delta-propagation greedy (cold index)",
+            &inv_cold,
             &seq,
-            0.0,
-            0,
-        );
-        pooled_secs.push(("parallel marginal greedy".into(), threads, par.seconds));
-
-        let hybrid = LazyParallelGreedy::with_threads(threads);
-        let hyb = time_median(cfg.runs, || {
-            let (p, evals) = hybrid.place_with_stats(&scenario, k);
-            (p, evals, 0)
-        });
-        record(
-            &mut engines,
-            &scenario,
-            "lazy-parallel greedy (CELF + pool)",
+            build_s * 1e3,
             threads,
-            &hyb,
-            &seq,
-            0.0,
-            0,
         );
-        pooled_secs.push((
-            "lazy-parallel greedy (CELF + pool)".into(),
-            threads,
-            hyb.seconds,
-        ));
-
-        let inv_pool = InvertedPooledGreedy::with_threads(threads);
-        let invp = time_median(cfg.runs, || {
-            let (p, rep) = inv_pool.place_with_index(&scenario, &index, k);
-            (p, rep.gain_evals, rep.delta_pushes)
-        });
-        record(
-            &mut engines,
-            &scenario,
-            "inverted delta-propagation greedy (pooled)",
-            threads,
-            &invp,
-            &seq,
-            0.0,
-            0,
-        );
-        pooled_secs.push((
-            "inverted delta-propagation greedy (pooled)".into(),
-            threads,
-            invp.seconds,
-        ));
-    }
-
-    // Cold pooled row at the widest configuration: threaded index build plus
-    // pooled solve, the headline cold-start path.
-    let wide = *POOL_THREADS.last().expect("POOL_THREADS is non-empty");
-    let inv_pool_wide = InvertedPooledGreedy::with_threads(wide);
-    let (cold_build4_s, invp_cold) = time_cold(
-        cfg.runs,
-        || InvertedIndex::build_with_threads(&scenario, wide),
-        |fresh| {
-            let (p, rep) = inv_pool_wide.place_with_index(&scenario, fresh, k);
-            (p, rep.gain_evals, rep.delta_pushes)
-        },
-    );
-    record(
-        &mut engines,
-        &scenario,
-        "inverted delta-propagation greedy (pooled, cold index)",
-        wide,
-        &invp_cold,
-        &seq,
-        cold_build4_s * 1e3,
-        wide,
-    );
-
-    // --- Scaling gates -----------------------------------------------------
-
-    // Every pooled engine must beat 1.10x of its own one-thread time at four
-    // threads.
-    for name in [
-        "parallel marginal greedy",
-        "lazy-parallel greedy (CELF + pool)",
-        "inverted delta-propagation greedy (pooled)",
-    ] {
-        let at = |threads: usize| {
-            pooled_secs
-                .iter()
-                .find(|(n, t, _)| n == name && *t == threads)
-                .map(|&(_, _, s)| s)
-                .expect("pooled timing recorded")
-        };
-        let solve = |threads: usize| -> f64 {
-            median_secs(1, || match name {
-                "parallel marginal greedy" => {
-                    black_box(ParallelGreedy::with_threads(threads).place_with_stats(&scenario, k));
-                }
-                "lazy-parallel greedy (CELF + pool)" => {
-                    black_box(
-                        LazyParallelGreedy::with_threads(threads).place_with_stats(&scenario, k),
-                    );
-                }
-                _ => {
-                    black_box(
-                        InvertedPooledGreedy::with_threads(threads)
-                            .place_with_index(&scenario, &index, k),
-                    );
-                }
-            })
-        };
-        timing_gate(
-            &format!("{name}: {wide} threads beat 1 thread"),
-            hard_gates,
-            (at(wide), at(1) * GATE_TOLERANCE),
-            || solve(wide),
-            || solve(1) * GATE_TOLERANCE,
-        );
+        cold_total_s = build_s + inv_cold.seconds;
     }
 
     // Cold-start gate, full scale only: the threaded cold path (index build
-    // at `wide` threads plus pooled solve) must stay within 2x of the warm
-    // solve plus a sequential build — parallelizing the build must never
-    // regress a cold start past that envelope. Smoke instances sit near the
+    // at `wide` threads plus solve) must stay within 2x of the warm solve
+    // plus a sequential build — parallelizing the build must never regress
+    // a cold start past that envelope. Smoke instances sit near the
     // parallel-build cutoff, so the claim is only meaningful at full scale.
     if !smoke {
-        let warm_wide = pooled_secs
-            .iter()
-            .find(|(n, t, _)| n == "inverted delta-propagation greedy (pooled)" && *t == wide)
-            .map(|&(_, _, s)| s)
-            .expect("warm pooled timing recorded");
+        let wide = *INDEX_THREADS.last().expect("INDEX_THREADS is non-empty");
         let build1 = index_build[0].ms / 1e3;
-        let cold_total = cold_build4_s + invp_cold.seconds;
         timing_gate(
             &format!("cold build + solve @ {wide} threads within 2x of warm solve + 1t build"),
             hard_gates,
-            (cold_total, (warm_wide + build1) * 2.0),
+            (cold_total_s, (inv.seconds + build1) * 2.0),
             || {
                 median_secs(1, || {
                     let fresh = InvertedIndex::build_with_threads(&scenario, wide);
-                    black_box(inv_pool_wide.place_with_index(&scenario, &fresh, k));
+                    black_box(InvertedGainEngine.place_with_index(&scenario, &fresh, k));
                 })
             },
             || {
                 let solve = median_secs(1, || {
-                    black_box(inv_pool_wide.place_with_index(&scenario, &index, k));
+                    black_box(InvertedGainEngine.place_with_index(&scenario, &index, k));
                 });
                 let build = median_secs(1, || {
                     black_box(InvertedIndex::build_with_threads(&scenario, 1));
@@ -646,7 +502,7 @@ fn main() {
             flows: scenario.flows().len(),
             k,
             utility: "linear".to_string(),
-            pool_threads: POOL_THREADS.to_vec(),
+            index_threads: INDEX_THREADS.to_vec(),
             timed_runs: cfg.runs,
             host_threads,
             index_build,

@@ -196,9 +196,8 @@ mod tests {
 
     #[test]
     fn writes_graph_and_flows() {
-        let dir = std::env::temp_dir();
-        let g = dir.join("rap_cli_test_graph.txt");
-        let f = dir.join("rap_cli_test_flows.csv");
+        let g = crate::temp_path("generate_graph.txt");
+        let f = crate::temp_path("generate_flows.csv");
         let args = Args::parse([
             "--city",
             "seattle",
@@ -222,8 +221,7 @@ mod tests {
 
     #[test]
     fn in_trace_strict_rejects_and_lenient_quarantines() {
-        let dir = std::env::temp_dir();
-        let tp = dir.join("rap_cli_in_trace.csv");
+        let tp = crate::temp_path("in_trace.csv");
         // Seattle schema with one good row, one truncated row, one NaN row.
         std::fs::write(
             &tp,
@@ -258,8 +256,7 @@ mod tests {
 
     #[test]
     fn generates_metro_summary_and_flows() {
-        let dir = std::env::temp_dir();
-        let f = dir.join("rap_cli_metro_flows.csv");
+        let f = crate::temp_path("metro_flows.csv");
         let args = Args::parse([
             "--city",
             "metro",

@@ -1,6 +1,5 @@
 //! CLI command implementations.
 
-pub mod fault;
 pub mod figures;
 pub mod generate;
 pub mod place;

@@ -1,16 +1,13 @@
 //! `rap place` — run a placement algorithm on a graph + flows from disk.
 
-use super::fault;
 use crate::args::Args;
 use crate::CliError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rap_core::EngineReport;
 use rap_core::{
-    CompositeGreedy, ExhaustiveOptimal, FaultPlan, GreedyCoverage, GreedyWithSwaps,
-    InvertedGainEngine, InvertedIndex, InvertedPooledGreedy, LazyGreedy, LazyParallelGreedy,
-    MarginalGreedy, MaxCardinality, MaxCustomers, MaxVehicles, ParallelGreedy, Placement,
-    PlacementAlgorithm, PlacementReport, Random, Scenario, UtilityKind,
+    CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage, GreedyWithSwaps,
+    InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MaxCardinality, MaxCustomers,
+    MaxVehicles, Placement, PlacementAlgorithm, PlacementReport, Random, Scenario, UtilityKind,
 };
 use rap_graph::{Distance, NodeId};
 use rap_traffic::{FlowSet, FlowSpec};
@@ -20,33 +17,29 @@ use serde::Serialize;
 pub const USAGE: &str = "\
 rap place --graph FILE --flows FILE --shop NODE --k N
           [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
-          [--algorithm alg1|alg2|marginal|lazy|parallel|lazypar|inverted|invpool|swaps|maxcard|maxveh|maxcust|random|optimal|all]
-          [--fault-profile none|panic|stall|drop|poison|seed:N] [--lenient true]
-          [--json true] [--threads N] [--route-threads N]
+          [--algorithm alg1|alg2|marginal|lazy|inverted|swaps|maxcard|maxveh|maxcust|random|optimal|all]
+          [--lenient true] [--json true] [--threads N] [--route-threads N]
 
 --graph  street network in the rap-graph text format (see `rap generate`)
 --flows  CSV with header origin,destination,volume,alpha
---threads        worker threads for the placement engines: sets the pool
-                 width of parallel/lazypar/invpool AND the inverted-index
-                 build, and is the --route-threads default, so one flag
-                 pins the whole run's parallelism; 0 (the default)
-                 auto-detects. Placements are bit-identical at any value.
+--threads        worker threads for the inverted-index build; also the
+                 --route-threads default, so one flag pins the whole run's
+                 parallelism; 0 (the default) builds the index
+                 sequentially. Placements are bit-identical at any value.
 --route-threads  worker threads for flow routing and detour-table
                  preprocessing; 0 (the default) falls back to --threads,
                  then auto-detects
---fault-profile  inject worker faults into the pooled engines (parallel,
-                 lazypar, invpool) and report how they recovered; other
-                 algorithms are unaffected
 --lenient        quarantine malformed flow rows (with a count in the
                  report) instead of aborting on the first one
 --json           emit one machine-readable JSON report (placement,
-                 objective, pool counters) instead of the text report —
-                 the same format family the `rap stream` events use
+                 objective, the inverted engine's work counters) instead
+                 of the text report — the same format family the
+                 `rap stream` events use
 Prints the chosen placement(s) and quality reports.";
 
-/// Resolves `--route-threads` (shared with `rap simulate` and `rap stream`):
-/// 0 — the default — falls back to `--threads` (the engine pool width, so a
-/// single flag pins the whole run's parallelism) and then auto-detects via
+/// Resolves `--route-threads` (shared with `rap snapshot` and `rap stream`):
+/// 0 — the default — falls back to `--threads` (so a single flag pins the
+/// whole run's parallelism) and then auto-detects via
 /// [`rap_traffic::parallel::default_threads`]; any explicit value is clamped
 /// to the available work downstream by the routing layer.
 pub(crate) fn route_threads(args: &Args) -> Result<usize, CliError> {
@@ -105,69 +98,23 @@ fn parse_flow_row(line: &str, line_no: usize) -> Result<FlowSpec, CliError> {
         .map_err(|e| CliError::Usage(format!("flows file line {line_no}: {e}")))
 }
 
-/// Runs the pooled engines with their health report (under an explicit
-/// fault plan when one was given); every other algorithm ignores the plan
-/// and yields no report. `threads` (0 = auto) sets the pool width and the
-/// inverted-index build width — placements are thread-count invariant.
+/// Runs `alg`; the inverted engine also returns its work counters.
+/// `threads` (0 = sequential) sizes the inverted-index build — placements
+/// are thread-count invariant.
 fn place_with_counters(
     name: &str,
     alg: &dyn PlacementAlgorithm,
     scenario: &Scenario,
     k: usize,
     threads: usize,
-    plan: Option<&FaultPlan>,
     rng: &mut StdRng,
-) -> Result<(Placement, Option<EngineReport>), CliError> {
-    match name {
-        "parallel" => {
-            let engine = if threads == 0 {
-                ParallelGreedy::default()
-            } else {
-                ParallelGreedy::with_threads(threads)
-            };
-            let (p, rep) = match plan {
-                Some(plan) => engine.place_with_faults(scenario, k, plan)?,
-                None => engine.place_with_report(scenario, k),
-            };
-            Ok((p, Some(rep)))
-        }
-        "lazypar" => {
-            let engine = if threads == 0 {
-                LazyParallelGreedy::default()
-            } else {
-                LazyParallelGreedy::with_threads(threads)
-            };
-            let (p, rep) = match plan {
-                Some(plan) => engine.place_with_faults(scenario, k, plan)?,
-                None => engine.place_with_report(scenario, k),
-            };
-            Ok((p, Some(rep)))
-        }
-        "inverted" => {
-            // No pool to fault, but the report carries the engine's
-            // gain_evals / delta_pushes telemetry like the bench does. An
-            // explicit thread count routes through the threaded index build.
-            let (p, rep) = if threads > 1 {
-                let index = InvertedIndex::build_with_threads(scenario, threads);
-                InvertedGainEngine.place_with_index(scenario, &index, k)
-            } else {
-                InvertedGainEngine.place_with_report(scenario, k)
-            };
-            Ok((p, Some(rep)))
-        }
-        "invpool" => {
-            let engine = if threads == 0 {
-                InvertedPooledGreedy::default()
-            } else {
-                InvertedPooledGreedy::with_threads(threads)
-            };
-            let (p, rep) = match plan {
-                Some(plan) => engine.place_with_faults(scenario, k, plan)?,
-                None => engine.place_with_report(scenario, k),
-            };
-            Ok((p, Some(rep)))
-        }
-        _ => Ok((alg.place(scenario, k, rng), None)),
+) -> (Placement, Option<EngineReport>) {
+    if name == "inverted" {
+        let index = InvertedIndex::build_with_threads(scenario, threads);
+        let (p, rep) = InvertedGainEngine.place_with_index(scenario, &index, k);
+        (p, Some(rep))
+    } else {
+        (alg.place(scenario, k, rng), None)
     }
 }
 
@@ -182,32 +129,15 @@ struct JsonAlgorithm {
     raps: Vec<u32>,
     /// Expected customers/day of the placement.
     objective: f64,
-    /// Pool health counters (pooled engines only).
-    pool: Option<JsonPool>,
+    /// Work counters (inverted engine only).
+    counters: Option<JsonCounters>,
 }
 
 /// `EngineReport` counters in JSON form.
 #[derive(Debug, Serialize)]
-struct JsonPool {
-    workers_respawned: u32,
-    replies_retried: u32,
-    receive_timeouts: u32,
-    degraded: bool,
+struct JsonCounters {
     gain_evals: u64,
     delta_pushes: u64,
-}
-
-impl From<&EngineReport> for JsonPool {
-    fn from(r: &EngineReport) -> Self {
-        JsonPool {
-            workers_respawned: r.workers_respawned,
-            replies_retried: r.replies_retried,
-            receive_timeouts: r.receive_timeouts,
-            degraded: r.degraded,
-            gain_evals: r.gain_evals,
-            delta_pushes: r.delta_pushes,
-        }
-    }
 }
 
 /// The whole `--json` report.
@@ -227,10 +157,7 @@ fn algorithm_by_name(name: &str) -> Option<Box<dyn PlacementAlgorithm>> {
         "alg2" => Box::new(CompositeGreedy),
         "marginal" => Box::new(MarginalGreedy),
         "lazy" => Box::new(LazyGreedy),
-        "parallel" => Box::new(ParallelGreedy::default()),
-        "lazypar" => Box::new(LazyParallelGreedy::default()),
         "inverted" => Box::new(InvertedGainEngine),
-        "invpool" => Box::new(InvertedPooledGreedy::default()),
         "swaps" => Box::new(GreedyWithSwaps),
         "maxcard" => Box::new(MaxCardinality),
         "maxveh" => Box::new(MaxVehicles),
@@ -241,9 +168,9 @@ fn algorithm_by_name(name: &str) -> Option<Box<dyn PlacementAlgorithm>> {
     })
 }
 
-const ALL_ALGORITHMS: [&str; 13] = [
-    "alg1", "alg2", "marginal", "lazy", "parallel", "lazypar", "inverted", "invpool", "swaps",
-    "maxcard", "maxveh", "maxcust", "random",
+const ALL_ALGORITHMS: [&str; 10] = [
+    "alg1", "alg2", "marginal", "lazy", "inverted", "swaps", "maxcard", "maxveh", "maxcust",
+    "random",
 ];
 
 /// Runs the command; returns the human-readable report.
@@ -271,10 +198,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let algorithm = args.get("algorithm").unwrap_or("alg2");
     let lenient: bool = args.get_or("lenient", "true/false", false)?;
     let json: bool = args.get_or("json", "true/false", false)?;
-    let fault_plan = match args.get("fault-profile") {
-        Some(spec) => Some(fault::parse_profile(spec)?),
-        None => None,
-    };
     let engine_threads: usize = args.get_or("threads", "integer", 0)?;
 
     let threads = route_threads(args)?;
@@ -309,32 +232,23 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             CliError::Usage(format!("unknown algorithm `{name}` (try --algorithm all)"))
         })?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let (placement, engine_report) = place_with_counters(
-            name,
-            alg.as_ref(),
-            &scenario,
-            k,
-            engine_threads,
-            fault_plan.as_ref(),
-            &mut rng,
-        )?;
+        let (placement, engine_report) =
+            place_with_counters(name, alg.as_ref(), &scenario, k, engine_threads, &mut rng);
         if json {
             json_algorithms.push(JsonAlgorithm {
                 algorithm: name.to_string(),
                 name: alg.name().to_string(),
                 raps: placement.iter().map(|v| v.raw()).collect(),
                 objective: scenario.evaluate(&placement),
-                pool: engine_report.as_ref().map(JsonPool::from),
+                counters: engine_report.map(|r| JsonCounters {
+                    gain_evals: r.gain_evals,
+                    delta_pushes: r.delta_pushes,
+                }),
             });
             continue;
         }
         let quality = PlacementReport::compute(&scenario, &placement);
         report.push_str(&format!("{:<28} {placement}\n    {quality}\n", alg.name()));
-        // The text report mentions pool health only when faults were
-        // actually injected; `--json` always carries the counters.
-        if let (Some(rep), Some(_)) = (&engine_report, &fault_plan) {
-            report.push_str(&format!("    {}\n", fault::describe(rep)));
-        }
     }
     if json {
         let payload = JsonReport {
@@ -355,11 +269,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    /// Writes a tiny graph + flows pair to temp files and returns the paths.
-    fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir();
-        let gp = dir.join("rap_cli_place_graph.txt");
-        let fp = dir.join("rap_cli_place_flows.csv");
+    /// Writes a tiny graph + flows pair to temp files private to `test`
+    /// and returns the paths.
+    fn fixture(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let gp = crate::temp_path(&format!("place_{test}_graph.txt"));
+        let fp = crate::temp_path(&format!("place_{test}_flows.csv"));
         let grid = rap_graph::GridGraph::new(3, 3, Distance::from_feet(100));
         let mut f = std::fs::File::create(&gp).unwrap();
         rap_graph::io::write_text(grid.graph(), &mut f).unwrap();
@@ -373,7 +287,7 @@ mod tests {
 
     #[test]
     fn places_with_default_algorithm() {
-        let (gp, fp) = fixture();
+        let (gp, fp) = fixture("places_with_default_algorithm");
         let args = Args::parse([
             "--graph",
             gp.to_str().unwrap(),
@@ -394,7 +308,7 @@ mod tests {
 
     #[test]
     fn all_algorithms_run() {
-        let (gp, fp) = fixture();
+        let (gp, fp) = fixture("all_algorithms_run");
         let args = Args::parse([
             "--graph",
             gp.to_str().unwrap(),
@@ -415,10 +329,7 @@ mod tests {
             "MaxVehicles",
             "Random",
             "CELF",
-            "parallel marginal greedy",
-            "CELF + pool",
             "inverted delta-propagation greedy",
-            "inverted delta-propagation greedy (pooled)",
         ] {
             assert!(report.contains(needle), "missing {needle}: {report}");
         }
@@ -426,7 +337,7 @@ mod tests {
 
     #[test]
     fn threads_flag_keeps_placements_identical() {
-        let (gp, fp) = fixture();
+        let (gp, fp) = fixture("threads_flag_keeps_placements_identical");
         let base = [
             "--graph",
             gp.to_str().unwrap(),
@@ -451,44 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn json_report_carries_placement_objective_and_pool_counters() {
-        let (gp, fp) = fixture();
-        let args = Args::parse([
-            "--graph",
-            gp.to_str().unwrap(),
-            "--flows",
-            fp.to_str().unwrap(),
-            "--shop",
-            "4",
-            "--k",
-            "2",
-            "--d",
-            "400",
-            "--algorithm",
-            "lazypar",
-            "--json",
-            "true",
-        ])
-        .unwrap();
-        let report = run(&args).unwrap();
-        let v: serde::Value = serde_json::from_str(&report).expect("valid JSON");
-        assert_eq!(v["shop"], 4u64);
-        assert_eq!(v["k"], 2u64);
-        let alg = &v["algorithms"][0];
-        assert_eq!(alg["algorithm"], "lazypar");
-        assert!(alg["objective"].as_f64().unwrap() > 0.0);
-        let raps: Vec<_> = match &alg["raps"] {
-            serde::Value::Seq(items) => items.clone(),
-            other => panic!("raps not an array: {other:?}"),
-        };
-        assert_eq!(raps.len(), 2);
-        // Healthy pool: counters present and all-zero recovery.
-        assert_eq!(alg["pool"]["workers_respawned"], 0u64);
-        assert_eq!(alg["pool"]["degraded"], serde::Value::Bool(false));
-        assert!(alg["pool"]["gain_evals"].as_f64().unwrap() > 0.0);
-
-        // The inverted engine reports its delta-push telemetry even though
-        // it runs without a worker pool.
+    fn json_report_carries_placement_objective_and_engine_counters() {
+        let (gp, fp) = fixture("json_report");
         let args = Args::parse([
             "--graph",
             gp.to_str().unwrap(),
@@ -506,14 +381,23 @@ mod tests {
             "true",
         ])
         .unwrap();
-        let v: serde::Value = serde_json::from_str(&run(&args).unwrap()).unwrap();
+        let report = run(&args).unwrap();
+        let v: serde::Value = serde_json::from_str(&report).expect("valid JSON");
+        assert_eq!(v["shop"], 4u64);
+        assert_eq!(v["k"], 2u64);
         let alg = &v["algorithms"][0];
         assert_eq!(alg["algorithm"], "inverted");
         assert_eq!(alg["name"], "inverted delta-propagation greedy");
-        assert!(alg["pool"]["gain_evals"].as_f64().unwrap() > 0.0);
-        assert!(alg["pool"]["delta_pushes"].as_f64().is_some());
+        assert!(alg["objective"].as_f64().unwrap() > 0.0);
+        let raps: Vec<_> = match &alg["raps"] {
+            serde::Value::Seq(items) => items.clone(),
+            other => panic!("raps not an array: {other:?}"),
+        };
+        assert_eq!(raps.len(), 2);
+        assert!(alg["counters"]["gain_evals"].as_f64().unwrap() > 0.0);
+        assert!(alg["counters"]["delta_pushes"].as_f64().is_some());
 
-        // Non-pooled engines carry no pool object.
+        // Other engines carry no counters object.
         let args = Args::parse([
             "--graph",
             gp.to_str().unwrap(),
@@ -530,12 +414,12 @@ mod tests {
         ])
         .unwrap();
         let v: serde::Value = serde_json::from_str(&run(&args).unwrap()).unwrap();
-        assert_eq!(v["algorithms"][0]["pool"], serde::Value::Null);
+        assert_eq!(v["algorithms"][0]["counters"], serde::Value::Null);
     }
 
     #[test]
     fn bad_inputs_are_usage_errors() {
-        let (gp, fp) = fixture();
+        let (gp, fp) = fixture("bad_inputs_are_usage_errors");
         let base = [
             "--graph",
             gp.to_str().unwrap(),
@@ -561,66 +445,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_profile_reports_pool_recovery() {
-        let (gp, fp) = fixture();
-        let base = [
-            "--graph",
-            gp.to_str().unwrap(),
-            "--flows",
-            fp.to_str().unwrap(),
-            "--shop",
-            "4",
-            "--k",
-            "2",
-            "--d",
-            "400",
-        ];
-        let mut faulted: Vec<&str> = base.to_vec();
-        faulted.extend(["--algorithm", "parallel", "--fault-profile", "panic"]);
-        let with_faults = run(&Args::parse(faulted).unwrap()).unwrap();
-        assert!(with_faults.contains("pool:"), "{with_faults}");
-        assert!(with_faults.contains("respawned"), "{with_faults}");
-
-        // The recovered placement is the line right after the algorithm
-        // name; it must be bit-identical to the healthy run's.
-        let mut clean: Vec<&str> = base.to_vec();
-        clean.extend(["--algorithm", "parallel", "--fault-profile", "none"]);
-        let without = run(&Args::parse(clean).unwrap()).unwrap();
-        let placement_of = |report: &str| {
-            report
-                .lines()
-                .find(|l| l.contains("parallel marginal greedy"))
-                .unwrap()
-                .trim()
-                .to_string()
-        };
-        assert_eq!(placement_of(&with_faults), placement_of(&without));
-    }
-
-    #[test]
-    fn unknown_fault_profile_is_usage_error() {
-        let (gp, fp) = fixture();
-        let args = Args::parse([
-            "--graph",
-            gp.to_str().unwrap(),
-            "--flows",
-            fp.to_str().unwrap(),
-            "--shop",
-            "4",
-            "--k",
-            "1",
-            "--fault-profile",
-            "meteor",
-        ])
-        .unwrap();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
-    }
-
-    #[test]
     fn lenient_mode_quarantines_bad_flow_rows() {
-        let (gp, _) = fixture();
-        let dir = std::env::temp_dir();
-        let fp = dir.join("rap_cli_lenient_flows.csv");
+        let (gp, _) = fixture("lenient");
+        let fp = crate::temp_path("place_lenient_bad_flows.csv");
         std::fs::write(
             &fp,
             "origin,destination,volume,alpha\n0,2,100,0.01\nbogus,row\n6,8,50,0.01\n",
@@ -657,9 +484,8 @@ mod tests {
 
     #[test]
     fn malformed_flows_rejected() {
-        let (gp, _) = fixture();
-        let dir = std::env::temp_dir();
-        let bad = dir.join("rap_cli_bad_flows.csv");
+        let (gp, _) = fixture("malformed");
+        let bad = crate::temp_path("place_malformed_bad_flows.csv");
         std::fs::write(&bad, "origin,destination,volume,alpha\n1,2,3\n").unwrap();
         let args = Args::parse([
             "--graph",

@@ -207,10 +207,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir();
-        let gp = dir.join("rap_cli_snapshot_graph.txt");
-        let fp = dir.join("rap_cli_snapshot_flows.csv");
+    /// Writes a 5×5 grid graph + two-flow CSV to temp files private to
+    /// `test`.
+    fn fixture(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let gp = crate::temp_path(&format!("snapshot_{test}_graph.txt"));
+        let fp = crate::temp_path(&format!("snapshot_{test}_flows.csv"));
         let grid = rap_graph::GridGraph::new(5, 5, Distance::from_feet(200));
         let mut f = std::fs::File::create(&gp).unwrap();
         rap_graph::io::write_text(grid.graph(), &mut f).unwrap();
@@ -224,8 +225,8 @@ mod tests {
 
     #[test]
     fn save_verify_load_roundtrip_and_corruption_is_typed() {
-        let (gp, fp) = fixture();
-        let snap = std::env::temp_dir().join("rap_cli_snapshot_test.snap");
+        let (gp, fp) = fixture("roundtrip");
+        let snap = crate::temp_path("snapshot_roundtrip.snap");
         let argv = [
             "save",
             "--file",
@@ -274,8 +275,8 @@ mod tests {
 
     #[test]
     fn info_prints_header_and_section_directory() {
-        let (gp, fp) = fixture();
-        let snap = std::env::temp_dir().join("rap_cli_snapshot_info_test.snap");
+        let (gp, fp) = fixture("info");
+        let snap = crate::temp_path("snapshot_info.snap");
         let argv = [
             "save",
             "--file",

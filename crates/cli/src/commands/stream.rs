@@ -555,11 +555,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    /// Writes a 5×5 grid graph + two-flow CSV to temp files.
-    fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir();
-        let gp = dir.join("rap_cli_stream_graph.txt");
-        let fp = dir.join("rap_cli_stream_flows.csv");
+    /// Writes a 5×5 grid graph + two-flow CSV to temp files private to
+    /// `test`.
+    fn fixture(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let gp = crate::temp_path(&format!("stream_{test}_graph.txt"));
+        let fp = crate::temp_path(&format!("stream_{test}_flows.csv"));
         let grid = rap_graph::GridGraph::new(5, 5, Distance::from_feet(200));
         let mut f = std::fs::File::create(&gp).unwrap();
         rap_graph::io::write_text(grid.graph(), &mut f).unwrap();
@@ -597,7 +597,7 @@ mod tests {
 
     #[test]
     fn replays_the_bundled_smoke_deltas() {
-        let (gp, fp) = fixture();
+        let (gp, fp) = fixture("replays_the_bundled_smoke_deltas");
         let smoke = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../stream/testdata/smoke.ndjson"
@@ -612,8 +612,8 @@ mod tests {
 
     #[test]
     fn synthetic_source_streams_and_writes_out_file() {
-        let (gp, fp) = fixture();
-        let out = std::env::temp_dir().join("rap_cli_stream_events.ndjson");
+        let (gp, fp) = fixture("synthetic_source_streams_and_writes_out_file");
+        let out = crate::temp_path("stream_events.ndjson");
         let mut argv = base_args(&gp, &fp);
         argv.extend([
             "--synthetic".to_string(),
@@ -659,7 +659,7 @@ mod tests {
 
     #[test]
     fn source_selection_is_validated() {
-        let (gp, fp) = fixture();
+        let (gp, fp) = fixture("source_selection_is_validated");
         // No source.
         let argv = base_args(&gp, &fp);
         assert!(matches!(
@@ -682,7 +682,7 @@ mod tests {
 
     #[test]
     fn durability_flags_require_a_wal() {
-        let (gp, fp) = fixture();
+        let (gp, fp) = fixture("durability_flags_require_a_wal");
         for extra in [
             ["--snapshot", "s.snap"],
             ["--resume", "true"],
@@ -712,10 +712,9 @@ mod tests {
 
     #[test]
     fn wal_run_resumes_to_the_identical_summary() {
-        let (gp, fp) = fixture();
-        let dir = std::env::temp_dir();
-        let wal = dir.join(format!("rap_cli_stream_{}.wal", std::process::id()));
-        let snap = dir.join(format!("rap_cli_stream_{}.snap", std::process::id()));
+        let (gp, fp) = fixture("wal_run_resumes_to_the_identical_summary");
+        let wal = crate::temp_path("stream_resume.wal");
+        let snap = crate::temp_path("stream_resume.snap");
         std::fs::remove_file(&wal).ok();
         std::fs::remove_file(&snap).ok();
 
@@ -778,9 +777,8 @@ mod tests {
 
     #[test]
     fn record_deltas_tees_a_replayable_log() {
-        let (gp, fp) = fixture();
-        let dir = std::env::temp_dir();
-        let rec = dir.join(format!("rap_cli_stream_{}.rec.ndjson", std::process::id()));
+        let (gp, fp) = fixture("record_deltas_tees_a_replayable_log");
+        let rec = crate::temp_path("stream_record.ndjson");
         let mut argv = base_args(&gp, &fp);
         argv.extend(
             [
@@ -815,8 +813,8 @@ mod tests {
 
     #[test]
     fn strict_mode_surfaces_rejects() {
-        let (gp, fp) = fixture();
-        let bad = std::env::temp_dir().join("rap_cli_stream_bad.ndjson");
+        let (gp, fp) = fixture("strict_mode_surfaces_rejects");
+        let bad = crate::temp_path("stream_bad.ndjson");
         std::fs::write(&bad, "{\"op\":\"remove\",\"flow\":999}\n").unwrap();
         let mut argv = base_args(&gp, &fp);
         argv.extend([

@@ -178,6 +178,14 @@ where
     }
 }
 
+/// A temp-file path private to this test process and `name`, so tests
+/// running on parallel threads (or in concurrent test runs) never share a
+/// file.
+#[cfg(test)]
+pub(crate) fn temp_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("rap_cli_{}_{name}", std::process::id()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,9 +211,8 @@ mod tests {
 
     #[test]
     fn end_to_end_generate_then_place() {
-        let dir = std::env::temp_dir();
-        let gp = dir.join("rap_cli_e2e_graph.txt");
-        let fp = dir.join("rap_cli_e2e_flows.csv");
+        let gp = crate::temp_path("e2e_graph.txt");
+        let fp = crate::temp_path("e2e_flows.csv");
         dispatch([
             "generate",
             "--city",

@@ -253,7 +253,7 @@ impl DetourTable {
             let mass = |v: usize| flows.visits_at(NodeId::new(v as u32)).len();
             let shards = tiles
                 .and_then(|t| t.shard_ranges(workers, mass))
-                .unwrap_or_else(|| crate::parallel::mass_chunks(n, mass, workers));
+                .unwrap_or_else(|| crate::inverted::mass_chunks(n, mass, workers));
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .iter()

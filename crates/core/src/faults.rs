@@ -1,79 +1,12 @@
-//! Deterministic fault injection for the parallel evaluation engines.
+//! Deterministic disk-fault injection for the persistence layer.
 //!
-//! The paper's premise is that roadside hardware fails; the engine computing
-//! failure-aware placements should not itself fall over when a thread does.
-//! A [`FaultPlan`] is a seeded, fully deterministic script of worker-level
-//! faults — panics, stalls past the coordinator's deadline, and dropped
-//! replies — that the evaluation pool consults while scoring candidates.
-//! The recovery machinery in [`crate::parallel`] must then produce
-//! placements bit-identical to the sequential greedy regardless of the plan
-//! (degrading to a sequential scan if the pool is unrecoverable), which is
-//! exactly what the fault-matrix tests assert.
-//!
-//! Plans address faults by `(worker slot, incarnation, dispatch)`:
-//!
-//! * **worker slot** — the shard index, stable across respawns;
-//! * **incarnation** — 0 for the originally spawned worker, bumped each
-//!   time the coordinator respawns the slot. An event pinned to
-//!   incarnation 0 fires once and the respawned worker proceeds cleanly; an
-//!   event with [`FaultEvent::every_incarnation`] fires forever, modelling a
-//!   *poisoned* slot that forces the degradation ladder all the way down to
-//!   the sequential fallback;
-//! * **dispatch** — the 0-based count of scoring commands (scans/batches)
-//!   the incarnation has handled, so a plan can target "round 1 of k = 5"
-//!   precisely.
-//!
-//! Setting `RAP_FAULT_SEED=<u64>` injects a [`FaultPlan::from_seed`] plan
-//! into every evaluation pool in the process whose caller did not supply an
-//! explicit plan. Because all pool engines are exact (their tests assert
-//! bit-identical output against [`crate::MarginalGreedy`]), running the
-//! whole test suite under a seed matrix turns every existing equivalence
-//! test into a recovery test; CI does exactly that.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
-use std::time::Duration;
-
-/// What an injected fault makes the worker do.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultAction {
-    /// Panic mid-command (caught by the worker's `catch_unwind` harness,
-    /// which reports the death to the coordinator before the thread exits).
-    Panic,
-    /// Sleep for the given number of milliseconds before continuing. With a
-    /// stall longer than the pool deadline the coordinator respawns the
-    /// slot; the late reply from the stalled incarnation is discarded by its
-    /// stale incarnation tag. Stalls are finite so pool teardown always
-    /// completes.
-    Stall {
-        /// Sleep duration in milliseconds.
-        millis: u64,
-    },
-    /// Process the command but never send the reply, then exit. Only the
-    /// coordinator's bounded-timeout receive detects this.
-    DropReply,
-}
-
-/// One scripted fault.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultEvent {
-    /// Worker slot (shard index) the fault targets.
-    pub worker: usize,
-    /// Incarnation the fault targets (0 = the originally spawned worker).
-    /// Ignored when [`every_incarnation`](FaultEvent::every_incarnation) is
-    /// set.
-    pub incarnation: u32,
-    /// 0-based index of the scoring command (scan or batch) within the
-    /// incarnation at which the fault fires.
-    pub dispatch: u64,
-    /// Fire at every incarnation, not just [`incarnation`]
-    /// (FaultEvent::incarnation): the slot is poisoned and respawning never
-    /// helps.
-    pub every_incarnation: bool,
-    /// The fault to inject.
-    pub action: FaultAction,
-}
+//! A [`FaultPlan`] is a fully deterministic script of storage faults — torn
+//! writes, silent bit flips, failing `fsync`s and short reads — that the
+//! snapshot writer/reader ([`crate::snapshot`]) and the WAL writer
+//! ([`crate::wal`]) consult on every I/O operation. Production callers pass
+//! [`FaultPlan::none`]; the recovery tests script faults to prove that every
+//! corruption surfaces as a typed error and never as a silently wrong
+//! restore.
 
 /// An injectable storage fault, modelling what real disks and kernels do to
 /// persistence layers: a crash mid-`write` leaves a prefix (torn write), a
@@ -115,155 +48,16 @@ pub struct DiskFaultEvent {
     pub fault: DiskFault,
 }
 
-/// A deterministic script of worker faults for one or more `place()` calls.
+/// A deterministic script of disk faults for one writer or reader.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-    /// Scripted storage faults for the persistence layer (`crate::snapshot`,
-    /// `crate::wal`), kept separate from worker faults so one plan can
-    /// exercise both.
     disk_events: Vec<DiskFaultEvent>,
-    /// Suggested coordinator receive deadline while this plan is active.
-    /// Plans containing stalls/drops set this small so tests and CI runs
-    /// detect the fault in milliseconds rather than waiting out the
-    /// production deadline.
-    deadline_hint: Option<Duration>,
 }
 
 impl FaultPlan {
     /// The empty plan: no faults.
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// True when the plan contains no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scripted events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Adds one event (builder style).
-    pub fn with_event(mut self, event: FaultEvent) -> Self {
-        self.events.push(event);
-        self
-    }
-
-    /// Sets the deadline hint (builder style).
-    pub fn with_deadline_hint(mut self, deadline: Duration) -> Self {
-        self.deadline_hint = Some(deadline);
-        self
-    }
-
-    /// A worker that panics once, at incarnation 0 of `worker`, while
-    /// handling scoring command `dispatch`.
-    pub fn panic_once(worker: usize, dispatch: u64) -> Self {
-        FaultPlan::none().with_event(FaultEvent {
-            worker,
-            incarnation: 0,
-            dispatch,
-            every_incarnation: false,
-            action: FaultAction::Panic,
-        })
-    }
-
-    /// A worker whose first incarnation drops its reply to scoring command
-    /// `dispatch` (detectable only via the receive deadline).
-    pub fn drop_reply_once(worker: usize, dispatch: u64) -> Self {
-        FaultPlan::none()
-            .with_event(FaultEvent {
-                worker,
-                incarnation: 0,
-                dispatch,
-                every_incarnation: false,
-                action: FaultAction::DropReply,
-            })
-            .with_deadline_hint(Duration::from_millis(50))
-    }
-
-    /// A worker whose first incarnation stalls `millis` ms on scoring
-    /// command `dispatch`; the hint makes the coordinator's deadline much
-    /// shorter than the stall, so the slot is respawned deterministically.
-    pub fn stall_once(worker: usize, dispatch: u64, millis: u64) -> Self {
-        FaultPlan::none()
-            .with_event(FaultEvent {
-                worker,
-                incarnation: 0,
-                dispatch,
-                every_incarnation: false,
-                action: FaultAction::Stall { millis },
-            })
-            .with_deadline_hint(Duration::from_millis(millis / 4))
-    }
-
-    /// Poisons every slot of a `workers`-wide pool: all incarnations panic
-    /// on their first scoring command, so respawning can never help and the
-    /// coordinator must fall back to the sequential scan.
-    pub fn poison_pool(workers: usize) -> Self {
-        let mut plan = FaultPlan::none();
-        for worker in 0..workers {
-            plan = plan.with_event(FaultEvent {
-                worker,
-                incarnation: 0,
-                dispatch: 0,
-                every_incarnation: true,
-                action: FaultAction::Panic,
-            });
-        }
-        plan
-    }
-
-    /// A seeded pseudo-random plan over a `workers`-wide pool: 1–4 events
-    /// mixing panics and dropped replies across the first few scoring
-    /// commands of incarnation 0. Stalls are excluded so seeded runs stay
-    /// deterministic under scheduler jitter; the accompanying deadline hint
-    /// keeps dropped-reply detection fast.
-    pub fn from_seed(seed: u64, workers: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut plan = FaultPlan::none().with_deadline_hint(Duration::from_millis(100));
-        let events = rng.random_range(1..=4usize);
-        for _ in 0..events {
-            let action = if rng.random_bool(0.7) {
-                FaultAction::Panic
-            } else {
-                FaultAction::DropReply
-            };
-            plan = plan.with_event(FaultEvent {
-                worker: rng.random_range(0..workers.max(1)),
-                incarnation: 0,
-                dispatch: rng.random_range(0..4u64),
-                every_incarnation: false,
-                action,
-            });
-        }
-        plan
-    }
-
-    /// The process-wide plan injected by `RAP_FAULT_SEED`, if set. Parsed
-    /// once; an unparsable value is ignored (and reported to stderr) rather
-    /// than failing every placement in the process.
-    pub fn from_env() -> Option<&'static FaultPlan> {
-        static ENV_PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-        ENV_PLAN
-            .get_or_init(|| {
-                let raw = std::env::var("RAP_FAULT_SEED").ok()?;
-                match raw.trim().parse::<u64>() {
-                    Ok(seed) => Some(FaultPlan::from_seed(seed, 8)),
-                    Err(_) => {
-                        eprintln!("rap-core: ignoring unparsable RAP_FAULT_SEED=`{raw}`");
-                        None
-                    }
-                }
-            })
-            .as_ref()
-    }
-
-    /// Deadline suggested by the plan, if any.
-    pub fn deadline_hint(&self) -> Option<Duration> {
-        self.deadline_hint
     }
 
     /// Adds one scripted disk fault (builder style).
@@ -319,87 +113,11 @@ impl FaultPlan {
             .find(|e| e.op_index == op_index && matches!(e.fault, DiskFault::ShortRead { .. }))
             .map(|e| e.fault)
     }
-
-    /// The fault (if any) scheduled for scoring command `dispatch` of
-    /// incarnation `incarnation` on `worker`. Consulted by pool workers once
-    /// per scan/batch command.
-    pub fn action_for(
-        &self,
-        worker: usize,
-        incarnation: u32,
-        dispatch: u64,
-    ) -> Option<FaultAction> {
-        self.events
-            .iter()
-            .find(|e| {
-                e.worker == worker
-                    && e.dispatch == dispatch
-                    && (e.every_incarnation || e.incarnation == incarnation)
-            })
-            .map(|e| e.action)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_plan_injects_nothing() {
-        let plan = FaultPlan::none();
-        assert!(plan.is_empty());
-        assert_eq!(plan.len(), 0);
-        for w in 0..4 {
-            for d in 0..4 {
-                assert_eq!(plan.action_for(w, 0, d), None);
-            }
-        }
-    }
-
-    #[test]
-    fn panic_once_targets_only_first_incarnation() {
-        let plan = FaultPlan::panic_once(1, 2);
-        assert_eq!(plan.action_for(1, 0, 2), Some(FaultAction::Panic));
-        assert_eq!(plan.action_for(1, 1, 2), None, "respawn must run clean");
-        assert_eq!(plan.action_for(0, 0, 2), None);
-        assert_eq!(plan.action_for(1, 0, 3), None);
-    }
-
-    #[test]
-    fn poison_hits_every_incarnation_of_every_worker() {
-        let plan = FaultPlan::poison_pool(3);
-        assert_eq!(plan.len(), 3);
-        for w in 0..3 {
-            for inc in 0..5 {
-                assert_eq!(plan.action_for(w, inc, 0), Some(FaultAction::Panic));
-            }
-        }
-        assert_eq!(plan.action_for(3, 0, 0), None);
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_bounded() {
-        for seed in 0..20u64 {
-            let a = FaultPlan::from_seed(seed, 4);
-            let b = FaultPlan::from_seed(seed, 4);
-            assert_eq!(a.len(), b.len());
-            assert!(
-                (1..=4).contains(&a.len()),
-                "seed {seed}: {} events",
-                a.len()
-            );
-            for (x, y) in a.events.iter().zip(&b.events) {
-                assert_eq!(x.worker, y.worker);
-                assert_eq!(x.dispatch, y.dispatch);
-                assert_eq!(x.action, y.action);
-                assert!(
-                    !matches!(x.action, FaultAction::Stall { .. }),
-                    "seeded plans must not stall"
-                );
-            }
-            assert!(a.deadline_hint().is_some());
-        }
-    }
 
     #[test]
     fn disk_faults_address_independent_op_counters() {
@@ -409,7 +127,6 @@ mod tests {
             .with_disk_event(0, DiskFault::ShortRead { keep_bytes: 16 })
             .with_disk_event(3, DiskFault::BitFlip { byte_offset: 5 });
         assert!(!plan.disk_is_empty());
-        assert!(plan.is_empty(), "disk events are not worker events");
         assert_eq!(
             plan.disk_write_fault(2),
             Some(DiskFault::TornWrite { keep_bytes: 7 })
@@ -430,15 +147,5 @@ mod tests {
             Some(DiskFault::ShortRead { keep_bytes: 16 })
         );
         assert_eq!(plan.disk_read_fault(2), None);
-    }
-
-    #[test]
-    fn stall_hint_is_shorter_than_the_stall() {
-        let plan = FaultPlan::stall_once(0, 0, 200);
-        assert_eq!(
-            plan.action_for(0, 0, 0),
-            Some(FaultAction::Stall { millis: 200 })
-        );
-        assert!(plan.deadline_hint().unwrap() < Duration::from_millis(200));
     }
 }

@@ -44,27 +44,54 @@
 //! [`MarginalGreedy`](crate::composite::MarginalGreedy) (and hence to
 //! [`LazyGreedy`](crate::lazy::LazyGreedy)); each round costs
 //! O(candidates + affected entries) instead of O(total entries).
-//!
-//! [`InvertedPooledGreedy`] runs the same loop with the stale-gain refolds
-//! sharded across the persistent worker pool of [`crate::parallel`], under
-//! the same fault-containment ladder (respawn → retry → sequential
-//! fallback, still bit-identical).
 
 use crate::algorithms::PlacementAlgorithm;
-use crate::error::PlacementError;
-use crate::faults::FaultPlan;
-use crate::parallel::{
-    default_threads, mass_chunks, sequential_resume, with_eval_pool, EngineReport, FallbackMode,
-    PoolConfig, PoolFailure,
-};
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rap_graph::NodeId;
+use rap_traffic::parallel::effective_threads;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
+
+/// Work counters of one [`InvertedGainEngine`] solve.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineReport {
+    /// Gain folds performed (the ablation metric).
+    pub gain_evals: u64,
+    /// Gain-delta pushes walked through the flow→candidate inverted CSR.
+    pub delta_pushes: u64,
+}
+
+/// Cuts `0..len` into at most `target` contiguous chunks balanced by the
+/// per-item mass reported by `mass_of`. Every chunk is non-empty and the
+/// chunks cover the whole index space in order. Shared by the parallel index
+/// build and the parallel detour build ([`crate::detour`]).
+pub(crate) fn mass_chunks(
+    len: usize,
+    mass_of: impl Fn(usize) -> usize,
+    target: usize,
+) -> Vec<(u32, u32)> {
+    let total: usize = (0..len).map(&mass_of).sum();
+    let quota = total.div_ceil(target.max(1)).max(1);
+    let mut chunks = Vec::new();
+    let mut start = 0usize;
+    let mut acc = 0usize;
+    for i in 0..len {
+        acc += mass_of(i);
+        if acc >= quota {
+            chunks.push((start as u32, i as u32 + 1));
+            start = i + 1;
+            acc = 0;
+        }
+    }
+    if start < len {
+        chunks.push((start as u32, len as u32));
+    }
+    chunks
+}
 
 /// The flow→candidate inverted CSR with coalesced flow groups.
 ///
@@ -321,7 +348,7 @@ impl InvertedIndex {
             .iter()
             .map(|&n| scenario.value_entries_at(n).0.len())
             .sum();
-        let workers = crate::parallel::effective_threads(threads, candidates.len());
+        let workers = effective_threads(threads, candidates.len());
         if workers <= 1 || total < PARALLEL_BUILD_CUTOFF {
             Self::build_seq(scenario, candidates)
         } else {
@@ -630,8 +657,7 @@ impl InvertedIndex {
 
     /// Commits `sel` into the group best-value state and marks stale every
     /// other candidate whose cached gain provably changed, returning the
-    /// number of delta pushes walked. Shared by the sequential and pooled
-    /// engines so the staleness logic cannot diverge.
+    /// number of delta pushes walked.
     fn propagate_commit(&self, sel: usize, group_best: &mut [f64], stale: &mut [bool]) -> u64 {
         let mut pushes = 0u64;
         let (groups, values) = self.fwd_row(sel);
@@ -731,7 +757,7 @@ impl InvertedGainEngine {
     }
 
     /// Builds the index and solves; the report carries `gain_evals` and
-    /// `delta_pushes` (pool counters stay zero — no pool is involved).
+    /// `delta_pushes`.
     pub fn place_with_report(&self, scenario: &Scenario, k: usize) -> (Placement, EngineReport) {
         let index = InvertedIndex::build(scenario);
         self.place_with_index(scenario, &index, k)
@@ -803,223 +829,6 @@ impl PlacementAlgorithm for InvertedGainEngine {
     }
 }
 
-/// Pooled inverted greedy: the delta-propagation loop with stale-gain
-/// refolds sharded across the persistent worker pool.
-///
-/// The coordinator owns the index, cached gains, and staleness bits; the
-/// delta pushes themselves are O(affected entries) of bit flips and stay
-/// coordinator-side, while every gain *refold* the pushes mark necessary is
-/// batched onto the pool (the same batch-gains sharding the lazy-parallel
-/// engine uses) together with other stale high-gain candidates. Fault
-/// handling is the standard ladder: worker panics respawn, stalls retry,
-/// and an unrecoverable pool finishes sequentially — the prefix placed so
-/// far equals the sequential prefix, so the output stays bit-identical.
-#[derive(Clone, Copy, Debug)]
-pub struct InvertedPooledGreedy {
-    /// Worker threads for the refold pool (clamped to the candidate count).
-    pub threads: usize,
-    /// Maximum stale entries refolded per pool round-trip.
-    pub batch: usize,
-    /// Recovery budgets, deadlines, and the degradation policy.
-    pub config: PoolConfig,
-}
-
-impl Default for InvertedPooledGreedy {
-    fn default() -> Self {
-        let threads = default_threads();
-        InvertedPooledGreedy {
-            threads,
-            batch: 4 * threads,
-            config: PoolConfig::default(),
-        }
-    }
-}
-
-impl InvertedPooledGreedy {
-    /// Creates the greedy with an explicit thread count and the default
-    /// `4 × threads` batch cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_threads(threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        InvertedPooledGreedy {
-            threads,
-            batch: 4 * threads,
-            config: PoolConfig::default(),
-        }
-    }
-
-    /// Builds the index (scatter passes parallelized over this engine's
-    /// thread count) and solves. Infallible under the default
-    /// [`FallbackMode::Sequential`].
-    pub fn place_with_report(&self, scenario: &Scenario, k: usize) -> (Placement, EngineReport) {
-        let index = InvertedIndex::build_with_threads(scenario, self.threads);
-        self.place_with_index(scenario, &index, k)
-    }
-
-    /// Solves against a prebuilt index. Infallible under the default
-    /// [`FallbackMode::Sequential`].
-    pub fn place_with_index(
-        &self,
-        scenario: &Scenario,
-        index: &InvertedIndex,
-        k: usize,
-    ) -> (Placement, EngineReport) {
-        match self.place_resilient(scenario, index, k, None) {
-            Ok(out) => out,
-            Err(err) => unreachable!("sequential fallback cannot fail: {err}"),
-        }
-    }
-
-    /// Runs the placement under an explicit [`FaultPlan`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlacementError::PoolFailed`] when the pool becomes unrecoverable
-    /// and [`PoolConfig::fallback`] is [`FallbackMode::Error`].
-    pub fn place_with_faults(
-        &self,
-        scenario: &Scenario,
-        k: usize,
-        faults: &FaultPlan,
-    ) -> Result<(Placement, EngineReport), PlacementError> {
-        let index = InvertedIndex::build_with_threads(scenario, self.threads);
-        self.place_resilient(scenario, &index, k, Some(faults))
-    }
-
-    fn place_resilient(
-        &self,
-        scenario: &Scenario,
-        index: &InvertedIndex,
-        k: usize,
-        faults: Option<&FaultPlan>,
-    ) -> Result<(Placement, EngineReport), PlacementError> {
-        let candidates = index.candidates();
-        let n = candidates.len();
-        let batch = self.batch.max(1);
-        let mut placement = Placement::empty();
-        let mut delta_pushes = 0u64;
-        let (mut report, failure) = with_eval_pool(
-            scenario,
-            candidates,
-            self.threads,
-            self.config,
-            faults,
-            |pool| {
-                let mut failure: Option<PoolFailure> = None;
-                'greedy: {
-                    if k == 0 || n == 0 {
-                        break 'greedy;
-                    }
-                    // Round 0: every candidate's gain, folded on the pool.
-                    let all: Arc<[NodeId]> = scenario.candidates_arc();
-                    let init = match pool.batch_gains(&all) {
-                        Ok(g) => g,
-                        Err(e) => {
-                            failure = Some(e);
-                            break 'greedy;
-                        }
-                    };
-                    let mut heap: BinaryHeap<GainEntry> = init
-                        .into_iter()
-                        .enumerate()
-                        .map(|(ci, g)| GainEntry::new(g, ci))
-                        .collect();
-                    let mut stale = vec![false; n];
-                    let mut group_best = vec![0.0f64; index.groups()];
-
-                    'rounds: while placement.len() < k {
-                        let selected = loop {
-                            // Pop the stale prefix blocking the selection:
-                            // these are exactly the entries the sequential
-                            // engine would refold one at a time before its
-                            // fresh top surfaces — refold them in one pool
-                            // trip instead (at most `batch` per trip). A
-                            // popped entry with a non-positive cached gain
-                            // bounds everything still in the heap, so the
-                            // scan is over.
-                            let mut pending: Vec<u32> = Vec::new();
-                            let mut decided: Option<Option<usize>> = None;
-                            while pending.len() < batch {
-                                let Some(top) = heap.pop() else {
-                                    decided = Some(None);
-                                    break;
-                                };
-                                if top.gain <= 0.0 {
-                                    decided = Some(None);
-                                    break;
-                                }
-                                let ci = top.ci as usize;
-                                if stale[ci] {
-                                    pending.push(top.ci);
-                                } else if pending.is_empty() {
-                                    decided = Some(Some(ci));
-                                    break;
-                                } else {
-                                    // Fresh entry under stale ones: put it
-                                    // back untouched and refold those first.
-                                    heap.push(top);
-                                    break;
-                                }
-                            }
-                            if pending.is_empty() {
-                                break decided.expect("empty refold batch decides the scan");
-                            }
-                            let nodes: Arc<[NodeId]> =
-                                pending.iter().map(|&j| candidates[j as usize]).collect();
-                            match pool.batch_gains(&nodes) {
-                                Ok(refreshed) => {
-                                    for (&j, g) in pending.iter().zip(refreshed) {
-                                        stale[j as usize] = false;
-                                        heap.push(GainEntry::new(g, j as usize));
-                                    }
-                                }
-                                Err(e) => {
-                                    failure = Some(e);
-                                    break 'greedy;
-                                }
-                            }
-                        };
-                        let Some(sel) = selected else { break 'rounds };
-                        let node = candidates[sel];
-                        placement.push(node);
-                        if let Err(e) = pool.commit(node) {
-                            failure = Some(e);
-                            break 'greedy;
-                        }
-                        delta_pushes += index.propagate_commit(sel, &mut group_best, &mut stale);
-                    }
-                }
-                (pool.report(), failure)
-            },
-        );
-        report.delta_pushes += delta_pushes;
-        if let Some(fail) = failure {
-            match self.config.fallback {
-                FallbackMode::Error => return Err(fail.into_error()),
-                FallbackMode::Sequential => {
-                    // The prefix placed so far equals the sequential greedy
-                    // prefix, so plain scans finish it bit-identically.
-                    sequential_resume(scenario, candidates, &mut placement, k, &mut report);
-                }
-            }
-        }
-        Ok((placement, report))
-    }
-}
-
-impl PlacementAlgorithm for InvertedPooledGreedy {
-    fn name(&self) -> &str {
-        "inverted delta-propagation greedy (pooled)"
-    }
-
-    fn place(&self, scenario: &Scenario, k: usize, _rng: &mut StdRng) -> Placement {
-        self.place_with_report(scenario, k).0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1068,32 +877,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_sequential() {
-        for kind in UtilityKind::ALL {
-            let s = small_grid_scenario(kind, Distance::from_feet(250));
-            for k in 0..6 {
-                let seq = MarginalGreedy.place(&s, k, &mut rng());
-                for threads in [1, 2, 3] {
-                    let pooled =
-                        InvertedPooledGreedy::with_threads(threads).place(&s, k, &mut rng());
-                    assert_eq!(pooled, seq, "kind={kind} k={k} threads={threads}");
-                }
+    fn mass_chunks_cover_everything_in_order() {
+        let masses = [5usize, 1, 1, 1, 40, 2, 2, 2, 2, 10];
+        for target in [1usize, 2, 3, 4, 8, 16] {
+            let chunks = mass_chunks(masses.len(), |i| masses[i], target);
+            assert!(!chunks.is_empty(), "target={target}");
+            assert!(chunks.len() <= target.max(1) + 1, "target={target}");
+            assert_eq!(chunks[0].0, 0, "target={target}");
+            assert_eq!(chunks.last().unwrap().1 as usize, masses.len());
+            for w in chunks.windows(2) {
+                assert_eq!(w[0].1, w[1].0, "contiguous, target={target}");
+                assert!(w[0].0 < w[0].1, "non-empty, target={target}");
             }
         }
-    }
-
-    #[test]
-    fn tiny_batches_still_match() {
-        let s = small_grid_scenario(UtilityKind::Sqrt, Distance::from_feet(200));
-        for k in 0..6 {
-            let pooled = InvertedPooledGreedy {
-                threads: 2,
-                batch: 1,
-                config: PoolConfig::default(),
-            }
-            .place(&s, k, &mut rng());
-            assert_eq!(pooled, MarginalGreedy.place(&s, k, &mut rng()), "k={k}");
-        }
+        assert!(mass_chunks(0, |_| 1, 4).is_empty());
     }
 
     #[test]
@@ -1163,7 +960,6 @@ mod tests {
             "inverted folded {} gains, full scans would be {full_scans}",
             report.gain_evals
         );
-        assert!(!report.degraded);
     }
 
     #[test]
@@ -1219,88 +1015,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_still_matches_sequential() {
-        let s = small_grid_scenario(UtilityKind::Linear, Distance::from_feet(300));
-        let k = 5;
-        let seq = MarginalGreedy.place(&s, k, &mut rng());
-        // Force every batch through the pool so the injected dispatches
-        // actually fire (the coordinator folds tiny batches locally
-        // otherwise).
-        let mut alg = InvertedPooledGreedy::with_threads(2);
-        alg.config.local_batch_mass = 0;
-        for dispatch in 0..3u64 {
-            let plan = FaultPlan::panic_once(0, dispatch);
-            let (p, report) = alg
-                .place_with_faults(&s, k, &plan)
-                .expect("panic is recoverable");
-            assert_eq!(p, seq, "dispatch {dispatch}");
-            // With a surviving worker the panic may be absorbed without an
-            // observed respawn: the other worker steals every range and the
-            // coordinator can finish the round before the Dead reply lands
-            // (scheduling-dependent — routine on a single-core host). The
-            // invariant is the placement, not the recovery path taken; the
-            // single-worker variant below pins the respawn deterministically.
-            assert!(report.workers_respawned <= 1, "dispatch {dispatch}");
-            assert!(!report.degraded, "dispatch {dispatch}");
-        }
-
-        // With one worker the round cannot complete without the full
-        // recovery cycle — Dead report, Reset replay, command re-send.
-        let mut alg = InvertedPooledGreedy::with_threads(1);
-        alg.config.local_batch_mass = 0;
-        let plan = FaultPlan::panic_once(0, 1);
-        let (p, report) = alg
-            .place_with_faults(&s, k, &plan)
-            .expect("panic is recoverable");
-        assert_eq!(p, seq);
-        assert_eq!(report.workers_respawned, 1);
-        assert!(!report.degraded);
-    }
-
-    #[test]
-    fn poisoned_pool_degrades_to_sequential() {
-        let s = small_grid_scenario(UtilityKind::Linear, Distance::from_feet(250));
-        let k = 4;
-        let seq = MarginalGreedy.place(&s, k, &mut rng());
-        let plan = FaultPlan::poison_pool(3);
-        let mut alg = InvertedPooledGreedy::with_threads(3);
-        alg.config.local_batch_mass = 0;
-        let (p, report) = alg
-            .place_with_faults(&s, k, &plan)
-            .expect("sequential fallback absorbs a poisoned pool");
-        assert_eq!(p, seq, "degraded placement must stay bit-identical");
-        assert!(report.degraded);
-    }
-
-    #[test]
-    fn error_mode_surfaces_pool_failed() {
-        let s = small_grid_scenario(UtilityKind::Linear, Distance::from_feet(250));
-        let mut alg = InvertedPooledGreedy::with_threads(2);
-        alg.config.fallback = FallbackMode::Error;
-        alg.config.max_respawns = 2;
-        alg.config.local_batch_mass = 0;
-        let plan = FaultPlan::poison_pool(2);
-        let err = alg
-            .place_with_faults(&s, 3, &plan)
-            .expect_err("poisoned pool with Error fallback must fail");
-        assert!(matches!(err, PlacementError::PoolFailed { .. }), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count")]
-    fn zero_threads_panics() {
-        let _ = InvertedPooledGreedy::with_threads(0);
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(
             InvertedGainEngine.name(),
             "inverted delta-propagation greedy"
-        );
-        assert_eq!(
-            InvertedPooledGreedy::default().name(),
-            "inverted delta-propagation greedy (pooled)"
         );
     }
 }

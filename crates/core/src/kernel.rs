@@ -32,17 +32,6 @@
 //! distance-path twins replicate the same lane schedule inline, which keeps
 //! the value path and the distance path bit-for-bit interchangeable (the
 //! `value_engine_matches_distance_engine` tests).
-//!
-//! ## The quantized f32 screen
-//!
-//! [`gain32`] is the same kernel over f32 mirrors of the value lanes and the
-//! best-value state. It is *not* exact — it exists to cheaply prove most
-//! candidates **cannot win** a scan: `gain32(c) + slack(c)` is a certified
-//! upper bound on the exact gain (the slack is precomputed per candidate
-//! from the entry magnitudes, see `Scenario::screen_slack`), so any
-//! candidate whose bound does not exceed the incumbent exact gain is skipped
-//! without touching the f64 lanes. Survivors are re-scored exactly, so the
-//! selected candidate — and therefore every placement — stays bit-identical.
 
 /// Independent accumulator lanes per kernel. Four chains cover the FMA/add
 /// latency of current x86/ARM cores without spilling accumulators.
@@ -50,17 +39,11 @@ pub const LANES: usize = 4;
 
 /// Fixed lane-reduction tree: `(l0 + l1) + (l2 + l3)`.
 ///
-/// Every laned path — f64 kernels, f32 screen, and the inlined distance-path
-/// twins in `scenario.rs` — must reduce through this function so the final
+/// Every laned path — the kernels here and the inlined distance-path twins
+/// in `scenario.rs` — must reduce through this function so the final
 /// rounding sequence is shared.
 #[inline]
 pub fn reduce(acc: [f64; LANES]) -> f64 {
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// f32 twin of [`reduce`], for the quantized screen.
-#[inline]
-pub fn reduce32(acc: [f32; LANES]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
@@ -127,26 +110,6 @@ pub fn uncovered_sum(flows: &[u32], values: &[f64], covered: &[bool]) -> f64 {
         acc[i % LANES] += term;
     }
     reduce(acc)
-}
-
-/// Quantized screen kernel: [`gain`] over the f32 mirrors of the value
-/// lanes and best-value state. Approximate by design — always pair with a
-/// certified slack (see module docs) before using it to skip a candidate.
-pub fn gain32(flows: &[u32], values: &[f32], best: &[f32]) -> f32 {
-    debug_assert_eq!(flows.len(), values.len());
-    let mut acc = [0.0f32; LANES];
-    let mut fc = flows.chunks_exact(LANES);
-    let mut vc = values.chunks_exact(LANES);
-    for (f, v) in (&mut fc).zip(&mut vc) {
-        acc[0] += (v[0] - best[f[0] as usize]).max(0.0);
-        acc[1] += (v[1] - best[f[1] as usize]).max(0.0);
-        acc[2] += (v[2] - best[f[2] as usize]).max(0.0);
-        acc[3] += (v[3] - best[f[3] as usize]).max(0.0);
-    }
-    for (i, (&f, &v)) in fc.remainder().iter().zip(vc.remainder()).enumerate() {
-        acc[i] += (v - best[f as usize]).max(0.0);
-    }
-    reduce32(acc)
 }
 
 #[cfg(test)]
@@ -225,7 +188,6 @@ mod tests {
     #[test]
     fn zero_entries_yield_zero() {
         assert_eq!(gain(&[], &[], &[1.0]), 0.0);
-        assert_eq!(gain32(&[], &[], &[1.0]), 0.0);
     }
 
     #[test]
@@ -237,19 +199,5 @@ mod tests {
         let best = vec![10.0, 10.0];
         let g = gain(&flows, &values, &best);
         assert_eq!(g.to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn gain32_tracks_gain_within_coarse_error() {
-        let (flows, values, best) = lanes(500, 29, 21);
-        let v32: Vec<f32> = values.iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = best.iter().map(|&b| b as f32).collect();
-        let exact = gain(&flows, &values, &best);
-        let approx = f64::from(gain32(&flows, &v32, &b32));
-        let scale: f64 = values.iter().map(|v| v.abs()).sum::<f64>() + 1.0;
-        assert!(
-            (exact - approx).abs() <= scale * 1e-4,
-            "screen drifted far from exact: {exact} vs {approx}"
-        );
     }
 }

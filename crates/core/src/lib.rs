@@ -21,10 +21,7 @@
 //! | [`CompositeGreedy`] | Algorithm 2 | `1 − 1/√e` (any non-increasing utility) |
 //! | [`MarginalGreedy`] | Sec. III-C naive greedy | none (ablation) |
 //! | [`LazyGreedy`] | — (CELF extension) | identical output to `MarginalGreedy` |
-//! | [`ParallelGreedy`] | — (pooled scan) | identical output to `MarginalGreedy` |
-//! | [`LazyParallelGreedy`] | — (CELF + pool hybrid) | identical output to `MarginalGreedy` |
 //! | [`InvertedGainEngine`] | — (inverted-index delta propagation) | identical output to `MarginalGreedy` |
-//! | [`InvertedPooledGreedy`] | — (delta propagation + pool) | identical output to `MarginalGreedy` |
 //! | [`MaxCardinality`], [`MaxVehicles`], [`MaxCustomers`], [`Random`] | Sec. V-B baselines | none |
 //! | [`ExhaustiveOptimal`] | — | exact (small instances) |
 //!
@@ -73,11 +70,9 @@ pub mod greedy;
 pub mod inverted;
 pub mod kernel;
 pub mod lazy;
-pub mod lazy_parallel;
 pub mod local_search;
 pub mod metrics;
 pub mod mutable;
-pub mod parallel;
 pub mod partial_enum;
 pub mod placement;
 pub mod robustness;
@@ -96,15 +91,13 @@ pub use construction::{build_scenario, BuildMode, BuildOptions, BuildReport};
 pub use detour::{DetourTable, FlowDetour};
 pub use error::PlacementError;
 pub use exhaustive::ExhaustiveOptimal;
-pub use faults::{DiskFault, DiskFaultEvent, FaultAction, FaultEvent, FaultPlan};
+pub use faults::{DiskFault, DiskFaultEvent, FaultPlan};
 pub use greedy::GreedyCoverage;
-pub use inverted::{InvertedGainEngine, InvertedIndex, InvertedPooledGreedy};
+pub use inverted::{EngineReport, InvertedGainEngine, InvertedIndex};
 pub use lazy::LazyGreedy;
-pub use lazy_parallel::LazyParallelGreedy;
 pub use local_search::{GreedyWithSwaps, SwapSearch};
 pub use metrics::{LatencyHistogram, PlacementReport};
 pub use mutable::{DeltaError, DeltaOutcome, FlowDelta, MutableScenario};
-pub use parallel::{EngineReport, FallbackMode, ParallelGreedy, PoolConfig};
 pub use partial_enum::PartialEnumeration;
 pub use placement::Placement;
 pub use robustness::{

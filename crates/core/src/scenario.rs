@@ -67,21 +67,10 @@ pub struct Scenario {
     entry_flow: Vec<u32>,
     /// Precomputed `α · f(detour) · T` of each CSR detour entry.
     entry_value: Vec<f64>,
-    /// f32 mirror of `entry_value` — the quantized screen lane (see
-    /// [`crate::kernel`]); never used for exact arithmetic.
-    entry_value32: Vec<f32>,
     /// Intersections with at least one detour entry, ascending node id —
-    /// computed once here so the engine hot paths and the worker pools never
-    /// re-derive (or re-allocate) the candidate set.
+    /// computed once here so the engine hot paths never re-derive (or
+    /// re-allocate) the candidate set.
     candidates: Arc<[NodeId]>,
-    /// Per-candidate certified slack of the f32 screen, aligned with
-    /// `candidates`: `gain32(c) + screen_slack[c]` is an upper bound on the
-    /// exact f64 gain of candidate `c` under *any* best-value state
-    /// reachable by commits (see [`Scenario::best_candidate_in_range`]).
-    screen_slack: Vec<f64>,
-    /// False when the entry values are too large to mirror safely in f32;
-    /// the screen is then disabled and scans go straight to the f64 kernel.
-    screen: bool,
 }
 
 impl Scenario {
@@ -146,41 +135,7 @@ impl Scenario {
             entry_flow.push(e.flow.index() as u32);
             entry_value.push(utility.probability(e.detour, flow.attractiveness()) * flow.volume());
         }
-        let entry_value32: Vec<f32> = entry_value.iter().map(|&v| v as f32).collect();
         let candidates: Arc<[NodeId]> = detours.candidate_nodes().into();
-
-        // Quantized-screen support data. The screen bound must dominate the
-        // exact gain under any reachable best-value state; best_value[f] is
-        // always the max of committed entry values of flow f, so per-flow
-        // maxima bound the state from above.
-        let mut flow_max = vec![0.0f64; flows.len()];
-        for (&f, &v) in entry_flow.iter().zip(&entry_value) {
-            let slot = &mut flow_max[f as usize];
-            if v > *slot {
-                *slot = v;
-            }
-        }
-        let max_value = entry_value.iter().fold(0.0f64, |m, &v| m.max(v));
-        let screen = max_value.is_finite() && max_value < 1e30;
-        let eps = f64::from(f32::EPSILON);
-        let screen_slack: Vec<f64> = candidates
-            .iter()
-            .map(|&node| {
-                let range = detours.entry_range(node);
-                let n = range.len() as f64;
-                let (sum, sum_max) = entry_flow[range.clone()]
-                    .iter()
-                    .zip(&entry_value[range])
-                    .fold((0.0f64, 0.0f64), |(s, sm), (&f, &v)| {
-                        (s + v, sm + flow_max[f as usize])
-                    });
-                // Conservative bound on |gain32 − gain|: per-term f32
-                // quantization of the value and the state (≤ ε·(v + flow_max))
-                // plus f32 accumulation error (≤ n·ε·Σv), with generous
-                // constant factors.
-                eps * (4.0 * (sum + sum_max) + 2.0 * n * sum)
-            })
-            .collect();
         Scenario {
             graph,
             flows,
@@ -189,10 +144,7 @@ impl Scenario {
             detours,
             entry_flow,
             entry_value,
-            entry_value32,
             candidates,
-            screen_slack,
-            screen,
         }
     }
 
@@ -252,8 +204,8 @@ impl Scenario {
         &self.candidates
     }
 
-    /// Shared handle to the candidate set (the pooled engines hand it to
-    /// worker threads without copying).
+    /// Shared handle to the candidate set (the inverted index keeps it
+    /// without copying).
     pub fn candidates_arc(&self) -> Arc<[NodeId]> {
         Arc::clone(&self.candidates)
     }
@@ -292,18 +244,6 @@ impl Scenario {
         (&self.entry_flow[range.clone()], &self.entry_value[range])
     }
 
-    /// The f32 screen mirror of [`Scenario::value_entries_at`].
-    pub fn value_entries32_at(&self, node: NodeId) -> (&[u32], &[f32]) {
-        let range = self.detours.entry_range(node);
-        (&self.entry_flow[range.clone()], &self.entry_value32[range])
-    }
-
-    /// Whether the quantized f32 screen is usable for this scenario's value
-    /// range (it is disabled when entry values overflow safe f32 territory).
-    pub fn screen_enabled(&self) -> bool {
-        self.screen
-    }
-
     /// Folds a RAP at `node` into a per-flow best-value state array:
     /// `best_value[f] = max(best_value[f], value of f at node)`.
     ///
@@ -314,20 +254,6 @@ impl Scenario {
         let (flows, values) = self.value_entries_at(node);
         for (&f, &v) in flows.iter().zip(values) {
             let slot = &mut best_value[f as usize];
-            if v > *slot {
-                *slot = v;
-            }
-        }
-    }
-
-    /// f32 twin of [`Scenario::commit_best_values`], maintained alongside it
-    /// by the pool workers to feed the quantized screen. Because `fl32` is
-    /// monotone, the folded f32 state is exactly the f32 rounding of the f64
-    /// state — the property the screen slack is certified against.
-    pub fn commit_best_values32(&self, best_value32: &mut [f32], node: NodeId) {
-        let (flows, values) = self.value_entries32_at(node);
-        for (&f, &v) in flows.iter().zip(values) {
-            let slot = &mut best_value32[f as usize];
             if v > *slot {
                 *slot = v;
             }
@@ -357,81 +283,6 @@ impl Scenario {
     ) -> f64 {
         let (flows, values) = self.value_entries_at(node);
         kernel::gain_covered(flows, values, best_value, covered)
-    }
-
-    /// Sequential argmax over `candidates` against a best-value state array:
-    /// the highest positive [`Scenario::marginal_gain_value`], ties toward
-    /// the lower node id, `None` when no candidate has positive gain.
-    ///
-    /// This is the same expression and the same tie-break as one pool-worker
-    /// scan reduced over shards, so the parallel engines' sequential
-    /// degradation path produces bit-identical placements.
-    pub fn best_candidate_value(
-        &self,
-        best_value: &[f64],
-        candidates: &[NodeId],
-    ) -> Option<(f64, NodeId)> {
-        let mut best: Option<(f64, NodeId)> = None;
-        for &v in candidates {
-            let gain = self.marginal_gain_value(best_value, v);
-            if gain <= 0.0 {
-                continue;
-            }
-            let better = match best {
-                Some((bg, bn)) => gain > bg || (gain == bg && v < bn),
-                None => true,
-            };
-            if better {
-                best = Some((gain, v));
-            }
-        }
-        best
-    }
-
-    /// Argmax over the contiguous candidate-index range `lo..hi` (indices
-    /// into [`Scenario::candidates`]), with the quantized f32 screen applied
-    /// when available: a candidate whose certified upper bound
-    /// `gain32 + slack` cannot exceed the incumbent's exact gain is skipped
-    /// without touching the f64 lanes; survivors are re-scored exactly.
-    ///
-    /// `best_value32` must be the f32 fold of the same committed placement
-    /// as `best_value` (see [`Scenario::commit_best_values32`]). The result
-    /// is bit-identical to running [`Scenario::best_candidate_value`] over
-    /// `candidates[lo..hi]`: the bound is an upper bound, so a skip can
-    /// never hide a candidate that would have won — even a tie is safe,
-    /// because ties go to the lower id, which is scanned first.
-    pub fn best_candidate_in_range(
-        &self,
-        best_value: &[f64],
-        best_value32: &[f32],
-        lo: usize,
-        hi: usize,
-    ) -> Option<(f64, NodeId)> {
-        let mut best: Option<(f64, NodeId)> = None;
-        for ci in lo..hi {
-            let v = self.candidates[ci];
-            if self.screen {
-                let incumbent = best.map_or(0.0, |(bg, _)| bg);
-                let (flows, v32) = self.value_entries32_at(v);
-                let bound =
-                    f64::from(kernel::gain32(flows, v32, best_value32)) + self.screen_slack[ci];
-                if bound <= incumbent {
-                    continue; // certified: cannot beat (or tie down to) best
-                }
-            }
-            let gain = self.marginal_gain_value(best_value, v);
-            if gain <= 0.0 {
-                continue;
-            }
-            let better = match best {
-                Some((bg, bn)) => gain > bg || (gain == bg && v < bn),
-                None => true,
-            };
-            if better {
-                best = Some((gain, v));
-            }
-        }
-        best
     }
 
     /// The objective restricted to the *surviving* subset of a placement:
@@ -668,62 +519,6 @@ mod tests {
                 "improvement gain diverged at {v}"
             );
         }
-    }
-
-    #[test]
-    fn screened_range_scan_matches_exact_scan() {
-        let s = simple();
-        assert!(s.screen_enabled());
-        let n = s.candidates().len();
-        let mut best_value = vec![0.0f64; s.flows().len()];
-        let mut best_value32 = vec![0.0f32; s.flows().len()];
-        // Walk a full greedy trajectory; at every state, every sub-range of
-        // the candidate set must agree with the exact unscreened scan.
-        loop {
-            for lo in 0..n {
-                for hi in lo..=n {
-                    let screened = s.best_candidate_in_range(&best_value, &best_value32, lo, hi);
-                    let exact = s.best_candidate_value(&best_value, &s.candidates()[lo..hi]);
-                    assert_eq!(screened, exact, "range {lo}..{hi}");
-                }
-            }
-            match s.best_candidate_value(&best_value, s.candidates()) {
-                Some((_, node)) => {
-                    s.commit_best_values(&mut best_value, node);
-                    s.commit_best_values32(&mut best_value32, node);
-                }
-                None => break,
-            }
-        }
-    }
-
-    #[test]
-    fn best_candidate_value_matches_manual_argmax() {
-        let s = simple();
-        let candidates = s.candidates();
-        let mut best_value = vec![0.0f64; s.flows().len()];
-        s.commit_best_values(&mut best_value, NodeId::new(0));
-        let got = s.best_candidate_value(&best_value, candidates);
-        let mut expect: Option<(f64, NodeId)> = None;
-        for &v in candidates {
-            let gain = s.marginal_gain_value(&best_value, v);
-            if gain <= 0.0 {
-                continue;
-            }
-            let better = match expect {
-                Some((bg, bn)) => gain > bg || (gain == bg && v < bn),
-                None => true,
-            };
-            if better {
-                expect = Some((gain, v));
-            }
-        }
-        assert_eq!(got, expect);
-        // Saturated state: nothing has positive gain.
-        for &v in candidates {
-            s.commit_best_values(&mut best_value, v);
-        }
-        assert_eq!(s.best_candidate_value(&best_value, candidates), None);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    FlowDelta, LazyGreedy, LazyParallelGreedy, MarginalGreedy, MutableScenario, ParallelGreedy,
-    Placement, PlacementAlgorithm, Scenario, UtilityKind,
+    FlowDelta, InvertedGainEngine, LazyGreedy, MarginalGreedy, MutableScenario, Placement,
+    PlacementAlgorithm, Scenario, UtilityKind,
 };
 use rap_graph::{Distance, GridGraph, NodeId, RoadGraph};
 use rap_traffic::{FlowSet, FlowSpec};
@@ -306,14 +306,9 @@ proptest! {
             "lazy diverged"
         );
         prop_assert_eq!(
-            ParallelGreedy::with_threads(2).place(&snap, k, &mut rng()),
+            InvertedGainEngine.place(&snap, k, &mut rng()),
             seq_fresh.clone(),
-            "parallel diverged"
-        );
-        prop_assert_eq!(
-            LazyParallelGreedy::with_threads(2).place(&snap, k, &mut rng()),
-            seq_fresh.clone(),
-            "lazy-parallel diverged"
+            "inverted diverged"
         );
 
         // `evaluate_current` reads the maintained arrays directly and must

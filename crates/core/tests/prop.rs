@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
     CompositeGreedy, ExhaustiveOptimal, FlowDelta, GreedyCoverage, InvertedGainEngine,
-    InvertedIndex, InvertedPooledGreedy, LazyGreedy, LazyParallelGreedy, MarginalGreedy,
-    MutableScenario, ParallelGreedy, Placement, PlacementAlgorithm, Scenario, UtilityKind,
+    InvertedIndex, LazyGreedy, MarginalGreedy, MutableScenario, Placement, PlacementAlgorithm,
+    Scenario, UtilityKind,
 };
 use rap_graph::{dijkstra, Distance, GridGraph, NodeId};
 use rap_traffic::{FlowId, FlowSet, FlowSpec};
@@ -205,10 +205,10 @@ proptest! {
         );
     }
 
-    /// Every accelerated greedy variant — CELF, the pooled parallel scan,
-    /// and the lazy-parallel hybrid at several thread counts — produces a
-    /// placement *identical* to the sequential marginal greedy, for every
-    /// utility kind.
+    /// Both accelerated greedy engines — CELF and the inverted-index
+    /// engine, on an index from the sequential and the threaded build —
+    /// produce a placement *identical* to the sequential marginal greedy,
+    /// with bit-identical objectives, for every utility kind.
     #[test]
     fn greedy_variants_identical(inst in arb_instance(), k in 0usize..6) {
         for kind in UtilityKind::ALL {
@@ -221,29 +221,17 @@ proptest! {
                 seq.clone(),
                 "lazy diverged ({kind}, k={k})"
             );
-            let inv = InvertedGainEngine.place(&s, k, &mut rng());
-            prop_assert_eq!(
-                s.evaluate(&inv).to_bits(),
-                s.evaluate(&seq).to_bits(),
-                "inverted objective diverged ({kind}, k={k})"
-            );
-            prop_assert_eq!(inv, seq.clone(), "inverted diverged ({kind}, k={k})");
-            for threads in [1usize, 2, 3, 8] {
+            for (build, index) in [
+                ("build", InvertedIndex::build(&s)),
+                ("build_with_threads", InvertedIndex::build_with_threads(&s, 2)),
+            ] {
+                let (inv, _) = InvertedGainEngine.place_with_index(&s, &index, k);
                 prop_assert_eq!(
-                    ParallelGreedy::with_threads(threads).place(&s, k, &mut rng()),
-                    seq.clone(),
-                    "parallel diverged ({kind}, k={k}, threads={threads})"
+                    s.evaluate(&inv).to_bits(),
+                    s.evaluate(&seq).to_bits(),
+                    "inverted objective diverged ({kind}, k={k}, {build})"
                 );
-                prop_assert_eq!(
-                    LazyParallelGreedy::with_threads(threads).place(&s, k, &mut rng()),
-                    seq.clone(),
-                    "lazy-parallel diverged ({kind}, k={k}, threads={threads})"
-                );
-                prop_assert_eq!(
-                    InvertedPooledGreedy::with_threads(threads).place(&s, k, &mut rng()),
-                    seq.clone(),
-                    "inverted-pooled diverged ({kind}, k={k}, threads={threads})"
-                );
+                prop_assert_eq!(inv, seq.clone(), "inverted diverged ({kind}, k={k}, {build})");
             }
         }
     }
@@ -618,25 +606,6 @@ proptest! {
                 "p={fp} regions={region_count}: correlated {corr} vs independent {indep}"
             );
         }
-    }
-
-    /// Injected worker faults never change the placement: under seeded
-    /// fault plans both pooled engines still match the sequential greedy
-    /// bit for bit (recovering, or degrading to the sequential scan).
-    #[test]
-    fn pooled_engines_survive_fault_plans(inst in arb_instance(), k in 0usize..5, seed in 0u64..200) {
-        use rap_core::FaultPlan;
-        let Some(s) = build(&inst) else { return Ok(()) };
-        let seq = MarginalGreedy.place(&s, k, &mut rng());
-        let plan = FaultPlan::from_seed(seed, 3);
-        let (par, _) = ParallelGreedy::with_threads(3)
-            .place_with_faults(&s, k, &plan)
-            .expect("Sequential fallback absorbs any plan");
-        prop_assert_eq!(par, seq.clone(), "parallel diverged under seed {}", seed);
-        let (hybrid, _) = LazyParallelGreedy::with_threads(3)
-            .place_with_faults(&s, k, &plan)
-            .expect("Sequential fallback absorbs any plan");
-        prop_assert_eq!(hybrid, seq, "lazy-parallel diverged under seed {}", seed);
     }
 
     /// Swap refinement never reduces the objective and keeps the size.

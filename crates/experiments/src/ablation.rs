@@ -3,8 +3,8 @@
 //! * **Greedy objective** — Algorithm 2's composite two-candidate objective
 //!   against its parts and relatives: Algorithm 1's uncovered-only objective,
 //!   the naive total-marginal greedy of Section III-C, the CELF-lazy
-//!   variant, and the lazy-parallel pool hybrid (the latter two produce
-//!   output identical to the marginal greedy, only cheaper/faster).
+//!   variant, and the inverted delta-propagation engine (the latter two
+//!   produce output identical to the marginal greedy, only cheaper).
 //! * **Two-stage structure** — Algorithms 3/4's fixed corner stage against a
 //!   fully adaptive grid greedy under both utilities, quantifying what the
 //!   `1 − 4/k` structural guarantee costs in practice.
@@ -14,8 +14,7 @@ use crate::general::{run_general, GeneralRun};
 use crate::manhattan_run::{run_manhattan, ManhattanRun};
 use crate::series::Figure;
 use rap_core::{
-    CompositeGreedy, GreedyCoverage, InvertedGainEngine, LazyGreedy, LazyParallelGreedy,
-    MarginalGreedy, UtilityKind,
+    CompositeGreedy, GreedyCoverage, InvertedGainEngine, LazyGreedy, MarginalGreedy, UtilityKind,
 };
 use rap_graph::Distance;
 use rap_manhattan::gen::BoundaryFlowParams;
@@ -36,19 +35,17 @@ pub fn ablation(settings: &Settings) -> Figure {
         trials: settings.trials,
         seed: settings.seed,
     };
-    let lazy_parallel = LazyParallelGreedy::with_threads(2);
     panels.push(run_general(
         &city,
         &cfg,
         "greedy objectives: composite vs uncovered-only vs marginal vs lazy \
-         vs lazy-parallel vs inverted (Dublin, linear, D = 20,000 ft)"
+         vs inverted (Dublin, linear, D = 20,000 ft)"
             .into(),
         &[
             &CompositeGreedy,
             &GreedyCoverage,
             &MarginalGreedy,
             &LazyGreedy,
-            &lazy_parallel,
             &InvertedGainEngine,
         ],
     ));
@@ -68,7 +65,6 @@ pub fn ablation(settings: &Settings) -> Figure {
             &GreedyCoverage,
             &MarginalGreedy,
             &LazyGreedy,
-            &lazy_parallel,
             &InvertedGainEngine,
         ],
     ));
@@ -117,21 +113,15 @@ mod tests {
         };
         let f = ablation(&settings);
         assert_eq!(f.panels.len(), 4);
-        // CELF, the lazy-parallel hybrid, and the inverted delta-propagation
-        // engine must agree with the plain marginal greedy on every point.
+        // CELF and the inverted delta-propagation engine must agree with the
+        // plain marginal greedy on every point.
         for panel in &f.panels[..2] {
             let marginal = panel.series_named("marginal greedy").unwrap();
             let lazy = panel.series_named("lazy greedy (CELF)").unwrap();
-            let hybrid = panel
-                .series_named("lazy-parallel greedy (CELF + pool)")
-                .unwrap();
             let inverted = panel
                 .series_named("inverted delta-propagation greedy")
                 .unwrap();
             for (a, b) in marginal.points.iter().zip(lazy.points.iter()) {
-                assert!((a.customers - b.customers).abs() < 1e-9);
-            }
-            for (a, b) in marginal.points.iter().zip(hybrid.points.iter()) {
                 assert!((a.customers - b.customers).abs() < 1e-9);
             }
             for (a, b) in marginal.points.iter().zip(inverted.points.iter()) {

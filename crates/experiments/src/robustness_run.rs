@@ -1,8 +1,7 @@
 //! Robustness experiments beyond the paper's figures.
 //!
-//! The paper's evaluation assumes every placed RAP stays online and every
-//! evaluation thread finishes; these panels quantify what the robustness
-//! machinery buys when neither holds:
+//! The paper's evaluation assumes every placed RAP stays online; these
+//! panels quantify what the robustness machinery buys when one does not:
 //!
 //! * **closed form vs Monte Carlo** — the analytic failure-aware objective
 //!   ([`rap_core::failure_aware_evaluate`]) against a seeded outage
@@ -11,17 +10,14 @@
 //! * **correlation-aware value** — customers retained under spatially
 //!   correlated (per-region blackout) outages by the independent-model
 //!   greedy vs the correlation-aware greedy, as blackouts intensify.
-//! * **engine resilience** — recovery effort (respawns, retries) of the
-//!   self-healing pooled greedy under seeded fault plans; every run is
-//!   checked bit-identical to the sequential placement before reporting.
 
 use crate::series::{Figure, Panel, Series, SeriesPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
     correlated_evaluate, failure_aware_evaluate, simulate_outages, CorrelatedFailureGreedy,
-    CorrelatedFailureModel, FailureAwareGreedy, FaultPlan, MarginalGreedy, ParallelGreedy,
-    PlacementAlgorithm, RegionMap, Scenario, UtilityKind,
+    CorrelatedFailureModel, FailureAwareGreedy, PlacementAlgorithm, RegionMap, Scenario,
+    UtilityKind,
 };
 use rap_graph::{Distance, GridGraph};
 use rap_traffic::demand::{uniform_demand, DemandParams};
@@ -36,12 +32,10 @@ const BLACKOUT_QS: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
 pub fn robustness(settings: &crate::figures::Settings) -> Figure {
     Figure {
         name: "robustness".into(),
-        caption: "failure-model validation, correlation-aware placement, engine self-healing"
-            .into(),
+        caption: "failure-model validation, correlation-aware placement".into(),
         panels: vec![
             closed_form_vs_monte_carlo(settings),
             correlation_aware_value(settings),
-            engine_resilience(settings),
         ],
     }
 }
@@ -143,43 +137,6 @@ fn correlation_aware_value(settings: &crate::figures::Settings) -> Panel {
     }
 }
 
-/// Recovery effort of the pooled greedy under seeded fault plans. Placements
-/// are asserted bit-identical to the sequential greedy before reporting.
-fn engine_resilience(settings: &crate::figures::Settings) -> Panel {
-    let s = substrate(settings);
-    let sequential = MarginalGreedy.place(&s, 8, &mut rng(settings));
-    let mut respawned = Series {
-        label: "workers respawned".into(),
-        points: Vec::new(),
-    };
-    let mut retried = Series {
-        label: "replies retried".into(),
-        points: Vec::new(),
-    };
-    for seed in 1..=5u64 {
-        let plan = FaultPlan::from_seed(settings.seed.wrapping_add(seed), 4);
-        let (placement, report) = ParallelGreedy::with_threads(4)
-            .place_with_faults(&s, 8, &plan)
-            .expect("sequential fallback cannot fail");
-        assert_eq!(
-            placement, sequential,
-            "faulted engine diverged from the sequential greedy (seed {seed})"
-        );
-        respawned.points.push(SeriesPoint {
-            k: seed as usize,
-            customers: f64::from(report.workers_respawned),
-        });
-        retried.points.push(SeriesPoint {
-            k: seed as usize,
-            customers: f64::from(report.replies_retried),
-        });
-    }
-    Panel {
-        title: "self-healing pool recovery effort vs fault seed (4 workers, k = 8)".into(),
-        series: vec![respawned, retried],
-    }
-}
-
 fn rng(settings: &crate::figures::Settings) -> StdRng {
     StdRng::seed_from_u64(settings.seed)
 }
@@ -196,7 +153,7 @@ mod tests {
             seed: 2015,
         };
         let f = robustness(&settings);
-        assert_eq!(f.panels.len(), 3);
+        assert_eq!(f.panels.len(), 2);
 
         // Validation panel: the in-panel 4σ assertion already ran; the
         // closed form must also decrease as p grows (more failures, fewer
@@ -222,16 +179,5 @@ mod tests {
         }
         // At q = 0 the two models coincide, so the placements tie exactly.
         assert!((aware.points[0].customers - ind.points[0].customers).abs() < 1e-9);
-
-        // Resilience panel: every seeded plan injects at least one fault, so
-        // total recovery effort is nonzero.
-        let resilience = &f.panels[2];
-        let effort: f64 = resilience
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter())
-            .map(|p| p.customers)
-            .sum();
-        assert!(effort > 0.0, "no recovery effort recorded across 5 seeds");
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! No async runtime and no external HTTP crate — a hand-rolled request
 //! parser ([`http`]) over `std::net::TcpListener`, served by a worker
-//! pool ([`server`]) that reuses the bounded-respawn self-healing posture
-//! of `rap_core::parallel`. State lives in an epoch-swapped
+//! pool ([`server`]) that respawns panicked workers against a bounded
+//! budget. State lives in an epoch-swapped
 //! `Arc<Scenario>` ([`state`]): requests pin one immutable epoch for
 //! their whole lifetime, `POST /reload` re-reads the `RAPSNAP1` snapshot
 //! and swaps epochs in a pointer-sized critical section, and a corrupt

@@ -17,8 +17,8 @@
 //! 1. **Repair** — swap local search (`rap_core::SwapSearch`) from the
 //!    current placement: cheap, usually recovers a few drifted RAPs.
 //! 2. **Resolve** — if the repaired placement is *still* stale, escalate to
-//!    a full re-greedy on the pooled inverted-index delta-propagation
-//!    engine (`rap_core::InvertedPooledGreedy`) and adopt its placement.
+//!    a full re-greedy on the inverted-index delta-propagation engine
+//!    (`rap_core::InvertedGainEngine`) and adopt its placement.
 //!    The flow→candidate inverted index is cached against the
 //!    [`MutableScenario`] epoch it was built from: deltas that produce a
 //!    new snapshot (including compactions) invalidate it and the next
@@ -39,8 +39,8 @@
 
 use crate::delta::StreamError;
 use rap_core::{
-    singleton_upper_bound, InvertedIndex, InvertedPooledGreedy, MutableScenario, Placement,
-    Scenario, SwapSearch,
+    singleton_upper_bound, InvertedGainEngine, InvertedIndex, MutableScenario, Placement, Scenario,
+    SwapSearch,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -56,7 +56,7 @@ pub struct MaintainerConfig {
     pub staleness_threshold: f64,
     /// Applied deltas between staleness checks.
     pub check_interval: u64,
-    /// Worker threads for the escalation re-greedy.
+    /// Worker threads for building the re-greedy's inverted index.
     pub threads: usize,
     /// Swap-repair parameters.
     pub swap: SwapSearch,
@@ -98,7 +98,7 @@ pub enum MaintainAction {
         /// Repair wall-clock latency, microseconds (metrics only).
         latency_us: u64,
     },
-    /// Swap-repair stalled; the full pooled re-greedy ran and its placement
+    /// Swap-repair stalled; the full re-greedy ran and its placement
     /// was adopted.
     Resolved {
         /// Staleness that triggered the escalation.
@@ -150,7 +150,6 @@ pub struct MaintainerState {
 #[derive(Debug)]
 pub struct Maintainer {
     cfg: MaintainerConfig,
-    engine: InvertedPooledGreedy,
     /// Inverted index cached with the [`MutableScenario::epoch`] it was
     /// built at; stale epochs trigger a rebuild on the next solve.
     index_cache: Option<(u64, InvertedIndex)>,
@@ -169,18 +168,16 @@ impl Maintainer {
     /// # Errors
     ///
     /// Propagates scenario evaluation failures (none today — the signature
-    /// leaves room for fallible pooled solves).
+    /// leaves room for fallible solves).
     pub fn new(cfg: MaintainerConfig, scenario: &mut MutableScenario) -> Result<Self, StreamError> {
-        let engine = InvertedPooledGreedy::with_threads(cfg.threads.max(1));
         let epoch = scenario.epoch();
         let snap = scenario.snapshot();
         let index = InvertedIndex::build_with_threads(&snap, cfg.threads.max(1));
-        let (placement, _) = engine.place_with_index(&snap, &index, cfg.k);
+        let (placement, _) = InvertedGainEngine.place_with_index(&snap, &index, cfg.k);
         let objective = snap.evaluate(&placement);
         let baseline_certified = certified(objective, singleton_upper_bound(&snap, cfg.k));
         Ok(Maintainer {
             cfg,
-            engine,
             index_cache: Some((epoch, index)),
             placement,
             objective,
@@ -195,10 +192,8 @@ impl Maintainer {
     /// starts empty and is rebuilt deterministically on the next
     /// escalation.
     pub fn resume(cfg: MaintainerConfig, placement: Placement, state: MaintainerState) -> Self {
-        let engine = InvertedPooledGreedy::with_threads(cfg.threads.max(1));
         Maintainer {
             cfg,
-            engine,
             index_cache: None,
             placement,
             objective: state.objective,
@@ -265,11 +260,10 @@ impl Maintainer {
             };
         }
 
-        // Resolve: swaps stalled — full re-greedy on the pooled inverted
-        // engine, against the (possibly rebuilt) cached index.
-        let engine = self.engine;
+        // Resolve: swaps stalled — full re-greedy on the inverted engine,
+        // against the (possibly rebuilt) cached index.
         let k = self.cfg.k;
-        let resolved = engine
+        let resolved = InvertedGainEngine
             .place_with_index(&snap, self.index_for(epoch, &snap), k)
             .0;
         let resolved_value = snap.evaluate(&resolved);
@@ -490,6 +484,63 @@ mod tests {
             maintained >= 0.95 * oracle,
             "maintained {maintained} below 95% of oracle {oracle}"
         );
+    }
+
+    /// Drives one check past the threshold with swap-repair disabled, so
+    /// the maintainer must escalate, and pins the adopted placement and its
+    /// objective bits to the sequential greedy on the post-delta snapshot.
+    fn assert_resolve_matches_greedy(mut maintainer: Maintainer, m: &mut MutableScenario) {
+        m.apply(&FlowDelta::RemoveFlow { flow: 0 }).unwrap();
+        m.apply(&FlowDelta::RemoveFlow { flow: 1 }).unwrap();
+        m.apply(&FlowDelta::AddFlow {
+            origin: NodeId::new(24),
+            destination: NodeId::new(18),
+            volume: 800.0,
+            alpha: 0.3,
+        })
+        .unwrap();
+        let action = maintainer.check(m);
+        assert!(
+            matches!(action, MaintainAction::Resolved { .. }),
+            "expected an escalation, got {action:?}"
+        );
+        let snap = m.snapshot();
+        let greedy = MarginalGreedy.place(&snap, 2, &mut StdRng::seed_from_u64(0));
+        assert_eq!(maintainer.placement(), &greedy);
+        assert_eq!(
+            maintainer.objective().to_bits(),
+            snap.evaluate(&greedy).to_bits()
+        );
+    }
+
+    fn no_repair_config() -> MaintainerConfig {
+        MaintainerConfig {
+            swap: SwapSearch {
+                max_rounds: 0,
+                ..SwapSearch::default()
+            },
+            ..config(1)
+        }
+    }
+
+    #[test]
+    fn resolve_adopts_the_sequential_greedy() {
+        let mut m = scenario_with(vec![spec(0, 6, 900.0), spec(1, 5, 700.0)]);
+        let maintainer = Maintainer::new(no_repair_config(), &mut m).unwrap();
+        assert_resolve_matches_greedy(maintainer, &mut m);
+    }
+
+    #[test]
+    fn resumed_resolve_adopts_the_sequential_greedy() {
+        let mut m = scenario_with(vec![spec(0, 6, 900.0), spec(1, 5, 700.0)]);
+        let original = Maintainer::new(no_repair_config(), &mut m).unwrap();
+        let resumed = Maintainer::resume(
+            no_repair_config(),
+            original.placement().clone(),
+            original.state(),
+        );
+        assert!(resumed.index_cache.is_none());
+        assert_resolve_matches_greedy(resumed, &mut m);
     }
 
     #[test]

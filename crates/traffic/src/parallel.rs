@@ -1,10 +1,8 @@
-//! Thread-count policy for parallel routing.
-//!
-//! Mirrors the policy `rap-core::parallel` established for the evaluation
-//! pools, so every parallel stage in the workspace sizes and clamps worker
-//! counts identically: requests are clamped to the number of independent
-//! work units (extra workers would idle), never below one, and the
-//! "use all cores" default comes from `available_parallelism()` with a
+//! Thread-count policy for every parallel stage in the workspace (routing,
+//! detour tables, inverted-index builds), so all of them size and clamp
+//! worker counts identically: requests are clamped to the number of
+//! independent work units (extra workers would idle), never below one, and
+//! the "use all cores" default comes from `available_parallelism()` with a
 //! logged fallback.
 
 /// Worker threads used when a caller asks for the automatic thread count:
@@ -20,7 +18,7 @@ pub fn default_threads() -> usize {
             WARN_ONCE.call_once(|| {
                 eprintln!(
                     "rap-traffic: available_parallelism() failed ({err}); \
-                     parallel routing defaulting to 4 worker threads"
+                     defaulting to 4 worker threads"
                 );
             });
             4
@@ -29,8 +27,7 @@ pub fn default_threads() -> usize {
 }
 
 /// The single clamp point for requested thread counts: never more workers
-/// than independent work units, never fewer than one. Identical to the
-/// evaluation-pool clamp in `rap-core`.
+/// than independent work units, never fewer than one.
 pub fn effective_threads(requested: usize, unit_count: usize) -> usize {
     requested.min(unit_count).max(1)
 }
