@@ -4,8 +4,8 @@
 //! Three instances, one construction front door ([`build_scenario`]):
 //!
 //! * **grid** — a 200×200-node grid with 50k flows. Big enough that the
-//!   auto-selection policy turns every acceleration on (ALT-pruned target
-//!   searches, tile-batched routing order, tile-aligned detour shards).
+//!   auto-selection policy turns every acceleration on (worker threads,
+//!   tile-batched routing order, tile-aligned detour shards).
 //! * **seattle** — the recovered city model, 900 journeys. Small enough
 //!   that the policy runs the plain sequential path; this row is the
 //!   no-regression gate for the historical small-city slowdown, where
@@ -13,8 +13,9 @@
 //! * **metro** — the 1M-intersection, 500k-flow synthetic metro
 //!   ([`rap_trace::metro`]), built end-to-end with every acceleration
 //!   forced on. Too large for a baseline replica, so its identity check is
-//!   subsampled: a slice of flows re-routed unpruned and a slice of nodes'
-//!   detour entries recomputed from full per-shop trees.
+//!   subsampled: a slice of flows checked against reference Dijkstra trees
+//!   and a slice of nodes' detour entries recomputed from full per-shop
+//!   trees.
 //!
 //! For grid and seattle the harness replicates the pre-workspace baseline
 //! (fresh full binary-heap tree per origin / per shop, per-node `Option`
@@ -23,12 +24,24 @@
 //! their sub-millisecond phases are at the mercy of scheduler and
 //! allocator noise, and the minimum is the least-contended observation of
 //! the same deterministic work. Speedups compare the phases both sides
-//! run (routing + detours, plus landmark selection on the optimized
-//! side); `build_total_ms` additionally includes scenario assembly, which
-//! the baseline replica never performed.
+//! run (routing + detours, with tile-grid assembly in the optimized
+//! routing time); `build_total_ms` additionally includes scenario
+//! assembly, which the baseline replica never performed.
+//!
+//! Every row also records `routing_settled`: the nodes the routing layer's
+//! goal-directed target searches settle (the sum of
+//! `SsspWorkspace::last_run_settled` over the origin groups). It is
+//! deterministic, so it gates on any host. Rows with a baseline replica
+//! also record `undirected_settled`: the nodes an undirected early-exit
+//! search would settle, those within each group's farthest destination.
 //!
 //! Gates: the seattle row must show `total_speedup >= 1.0` (smoke included
-//! — that is the regression gate), the grid row `>= 2.0` outside smoke.
+//! — that is the regression gate), the grid row `>= 2.0` outside smoke, and
+//! the grid row must settle under three quarters of `undirected_settled`
+//! (smoke included — a potential whose scale silently fell to 0 settles as
+//! much as an undirected search; goal direction measures 41% on the full
+//! grid and 57% on the smoke grid, whose denser origin groups more often
+//! exceed `GOAL_MAX_TARGETS` and run undirected).
 //!
 //! Usage: `cargo run --release -p rap-bench --bin bench_build [--smoke] [OUT.json]`
 //! (default output path `BENCH_build.json`; `--smoke` shrinks all three
@@ -40,6 +53,8 @@ use rap_core::{
     build_scenario, BuildMode, BuildOptions, BuildReport, MarginalGreedy, PlacementAlgorithm,
     Scenario, UtilityKind,
 };
+use rap_graph::dijkstra::Direction;
+use rap_graph::sssp::SsspWorkspace;
 use rap_graph::{dijkstra, Distance, GridGraph, NodeId, Path, RoadGraph};
 use rap_traffic::demand::{uniform_demand, DemandParams};
 use rap_traffic::{parallel, FlowId, FlowSet, FlowSpec, TrafficFlow, Zone};
@@ -57,9 +72,11 @@ const CITY_JOURNEYS: usize = 900;
 const SMOKE_GRID_SIDE: u32 = 30;
 const SMOKE_GRID_FLOWS: usize = 2_000;
 const SMOKE_CITY_JOURNEYS: usize = 40;
-/// Metro identity subsample sizes: flows re-routed unpruned, nodes whose
-/// detour entries are recomputed from full per-shop trees.
-const METRO_FLOW_SAMPLE: usize = 2_000;
+/// Metro identity subsample sizes: flows checked against a reference
+/// Dijkstra tree each (one full tree per sampled flow, so the sample stays
+/// small on the million-node metro), nodes whose detour entries are
+/// recomputed from full per-shop trees.
+const METRO_FLOW_SAMPLE: usize = 256;
 const METRO_NODE_SAMPLE: usize = 512;
 const K: usize = 10;
 const SEED: u64 = 2015;
@@ -74,11 +91,10 @@ struct PhaseTimes {
 /// Optimized-path timings, one column per construction phase.
 #[derive(Serialize)]
 struct OptimizedTimes {
-    /// Landmark selection plus tile-grid assembly (0 when both are off).
-    landmark_ms: f64,
+    /// Tile-grid assembly plus routing.
     routing_ms: f64,
     detour_ms: f64,
-    /// Sum of the three phases above — the speedup denominator.
+    /// Sum of the two phases above — the speedup denominator.
     total_ms: f64,
     /// End-to-end `build_scenario` wall time, including scenario assembly
     /// (candidate precompute) that the baseline replica never performed.
@@ -94,9 +110,14 @@ struct InstanceReport {
     shops: usize,
     kernel: String,
     threads: usize,
-    use_alt: bool,
     use_tiles: bool,
     tile_count: usize,
+    /// Nodes settled by the routing layer's target searches.
+    routing_settled: u64,
+    /// Nodes within each origin group's farthest destination, summed: what
+    /// an undirected early-exit search settles (baseline rows only).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    undirected_settled: Option<u64>,
     /// How bit-identity was established: `full` (every artifact against a
     /// baseline replica) or `subsampled(...)` (metro).
     identity: String,
@@ -112,15 +133,20 @@ struct InstanceReport {
 }
 
 #[derive(Serialize)]
+struct Host {
+    cores: usize,
+}
+
+#[derive(Serialize)]
 struct Report {
     smoke: bool,
+    host: Host,
     instances: Vec<InstanceReport>,
 }
 
-/// Pre-PR routing: a fresh, full binary-heap shortest-path tree per distinct
-/// origin, paths probed out of the tree (the shape `FlowSet::route` had
-/// before the workspace engine).
-fn baseline_route(graph: &RoadGraph, specs: &[FlowSpec]) -> FlowSet {
+/// Distinct origins in first-appearance order, each with its specs'
+/// indices — the grouping `FlowSet::route` uses.
+fn origin_groups(specs: &[FlowSpec]) -> Vec<(NodeId, Vec<usize>)> {
     let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
     let mut slot: HashMap<NodeId, usize> = HashMap::new();
     for (i, s) in specs.iter().enumerate() {
@@ -130,8 +156,50 @@ fn baseline_route(graph: &RoadGraph, specs: &[FlowSpec]) -> FlowSet {
         });
         groups[g].1.push(i);
     }
+    groups
+}
+
+/// The routing layer's settled-node count: the same target search per
+/// origin group that `FlowSet::route` runs, summed over
+/// `SsspWorkspace::last_run_settled`.
+fn routing_settled(graph: &RoadGraph, specs: &[FlowSpec]) -> u64 {
+    let mut ws = SsspWorkspace::for_graph(graph);
+    origin_groups(specs)
+        .iter()
+        .map(|(origin, idxs)| {
+            let targets: Vec<NodeId> = idxs.iter().map(|&i| specs[i].destination()).collect();
+            ws.run_to_targets(graph, *origin, Direction::Forward, &targets);
+            ws.last_run_settled()
+        })
+        .sum()
+}
+
+/// What an undirected early-exit search settles per origin group: every
+/// node within the group's farthest destination (read off a full tree).
+fn undirected_settled(graph: &RoadGraph, specs: &[FlowSpec]) -> u64 {
+    let mut ws = SsspWorkspace::for_graph(graph);
+    let mut row = vec![Distance::MAX; graph.node_count()];
+    origin_groups(specs)
+        .iter()
+        .map(|(origin, idxs)| {
+            ws.run(graph, *origin, Direction::Forward);
+            ws.copy_distances_into(&mut row);
+            let reach = idxs
+                .iter()
+                .map(|&i| row[specs[i].destination().index()])
+                .max()
+                .unwrap_or(Distance::ZERO);
+            row.iter().filter(|&&d| d <= reach).count() as u64
+        })
+        .sum()
+}
+
+/// Pre-PR routing: a fresh, full binary-heap shortest-path tree per distinct
+/// origin, paths probed out of the tree (the shape `FlowSet::route` had
+/// before the workspace engine).
+fn baseline_route(graph: &RoadGraph, specs: &[FlowSpec]) -> FlowSet {
     let mut paths: Vec<Option<Path>> = vec![None; specs.len()];
-    for (origin, idxs) in &groups {
+    for (origin, idxs) in &origin_groups(specs) {
         let tree = dijkstra::shortest_path_tree(graph, *origin);
         for &i in idxs {
             paths[i] = Some(
@@ -333,26 +401,21 @@ fn bench_comparative(
     }
     let auto = auto.expect("at least one run");
     let last = reports.last().expect("at least one run");
-    let landmark_ms = best(reports.iter().map(|r| r.landmark_ms).collect());
     let routing_ms = best(reports.iter().map(|r| r.routing_ms).collect());
     let detour_ms = best(reports.iter().map(|r| r.detour_ms).collect());
     let optimized = OptimizedTimes {
-        landmark_ms,
         routing_ms,
         detour_ms,
-        total_ms: landmark_ms + routing_ms + detour_ms,
+        total_ms: routing_ms + detour_ms,
         build_total_ms: best(reports.iter().map(|r| r.total_ms).collect()),
     };
     eprintln!(
-        "[{name}] optimized: landmarks {:.1} ms, routing {:.1} ms, detours {:.1} ms \
-         ({} thread(s), alt={}, tiles={})",
-        optimized.landmark_ms,
-        optimized.routing_ms,
-        optimized.detour_ms,
-        last.plan.threads,
-        last.plan.use_alt,
-        last.plan.use_tiles,
+        "[{name}] optimized: routing {:.1} ms, detours {:.1} ms ({} thread(s), tiles={})",
+        optimized.routing_ms, optimized.detour_ms, last.plan.threads, last.plan.use_tiles,
     );
+    let settled = routing_settled(graph, &specs);
+    let undirected = undirected_settled(graph, &specs);
+    eprintln!("[{name}] settled: {settled} goal-directed, {undirected} undirected");
 
     let (plain, _) = build_scenario(
         graph.clone(),
@@ -378,9 +441,10 @@ fn bench_comparative(
         shops: shops.len(),
         kernel: last.kernel.name().to_string(),
         threads: last.plan.threads,
-        use_alt: last.plan.use_alt,
         use_tiles: last.plan.use_tiles,
         tile_count: last.tile_count,
+        routing_settled: settled,
+        undirected_settled: Some(undirected),
         identity: "full".to_string(),
         routing_speedup: Some(base_route_ms / optimized.routing_ms),
         detour_speedup: Some(base_detour_ms / optimized.detour_ms),
@@ -394,8 +458,8 @@ fn bench_comparative(
     }
 }
 
-/// Verifies a metro build on subsamples: a stride of flows re-routed with
-/// the unpruned sequential engine, and a stride of nodes whose detour
+/// Verifies a metro build on subsamples: a stride of flows whose paths must
+/// equal a reference Dijkstra tree's, and a stride of nodes whose detour
 /// entries and shop distance are recomputed from full per-shop trees.
 fn assert_metro_subsample(
     graph: &RoadGraph,
@@ -405,14 +469,13 @@ fn assert_metro_subsample(
 ) -> String {
     let flow_stride = (specs.len() / METRO_FLOW_SAMPLE).max(1);
     let sampled: Vec<usize> = (0..specs.len()).step_by(flow_stride).collect();
-    let sample_specs: Vec<FlowSpec> = sampled.iter().map(|&i| specs[i]).collect();
-    let reference = FlowSet::route(graph, sample_specs).expect("metro flows route");
-    for (k, &i) in sampled.iter().enumerate() {
-        let opt = scenario.flows().flow(FlowId::new(i as u32));
-        let refr = reference.flow(FlowId::new(k as u32));
+    for &i in &sampled {
+        let reference = dijkstra::shortest_path_tree(graph, specs[i].origin())
+            .path_to(specs[i].destination())
+            .expect("metro flows route");
         assert_eq!(
-            opt.path().nodes(),
-            refr.path().nodes(),
+            scenario.flows().flow(FlowId::new(i as u32)).path().nodes(),
+            reference.nodes(),
             "metro routed path diverged for spec {i}"
         );
     }
@@ -471,7 +534,7 @@ fn assert_metro_subsample(
         checked_nodes += 1;
     }
     format!(
-        "subsampled({} flows re-routed unpruned, {} nodes vs full shop trees)",
+        "subsampled({} flows vs reference trees, {} nodes vs full shop trees)",
         sampled.len(),
         checked_nodes
     )
@@ -513,9 +576,8 @@ fn bench_metro(smoke: bool, threads: usize) -> InstanceReport {
     )
     .expect("metro builds");
     eprintln!(
-        "[metro] built: landmarks {:.0} ms, routing {:.0} ms, detours {:.0} ms, \
-         total {:.0} ms ({} tiles, kernel {})",
-        report.landmark_ms,
+        "[metro] built: routing {:.0} ms, detours {:.0} ms, total {:.0} ms \
+         ({} tiles, kernel {})",
         report.routing_ms,
         report.detour_ms,
         report.total_ms,
@@ -525,6 +587,8 @@ fn bench_metro(smoke: bool, threads: usize) -> InstanceReport {
 
     let identity = assert_metro_subsample(&graph, &specs, &shops, &scenario);
     eprintln!("[metro] identity: {identity}");
+    let settled = routing_settled(&graph, &specs);
+    eprintln!("[metro] settled: {settled} goal-directed");
 
     InstanceReport {
         name: "metro".to_string(),
@@ -534,16 +598,16 @@ fn bench_metro(smoke: bool, threads: usize) -> InstanceReport {
         shops: shops.len(),
         kernel: report.kernel.name().to_string(),
         threads: report.plan.threads,
-        use_alt: report.plan.use_alt,
         use_tiles: report.plan.use_tiles,
         tile_count: report.tile_count,
+        routing_settled: settled,
+        undirected_settled: None,
         identity,
         baseline: None,
         optimized: OptimizedTimes {
-            landmark_ms: report.landmark_ms,
             routing_ms: report.routing_ms,
             detour_ms: report.detour_ms,
-            total_ms: report.landmark_ms + report.routing_ms + report.detour_ms,
+            total_ms: report.routing_ms + report.detour_ms,
             build_total_ms: report.total_ms,
         },
         routing_speedup: None,
@@ -616,8 +680,21 @@ fn main() {
         city_report.total_speedup.unwrap_or(0.0)
     );
 
+    // Deterministic gate: goal direction must engage on the grid.
+    let grid_undirected = grid_report.undirected_settled.unwrap_or(0);
+    assert!(
+        4 * grid_report.routing_settled < 3 * grid_undirected,
+        "grid target searches settled {} nodes, not under three quarters of \
+         the {} an undirected search settles",
+        grid_report.routing_settled,
+        grid_undirected
+    );
+
     let report = Report {
         smoke,
+        host: Host {
+            cores: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        },
         instances: vec![grid_report, city_report, metro_report],
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

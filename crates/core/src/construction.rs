@@ -7,25 +7,25 @@
 //! the build uses:
 //!
 //! * **Small instances** (Seattle-sized) run the plain sequential path:
-//!   one thread, no landmark tables, no tiling. This is the fix for the
-//!   historical small-city regression, where thread plumbing and setup work
-//!   cost more than the entire sequential build.
-//! * **Large instances** route with worker threads, ALT-pruned target
-//!   searches ([`rap_graph::landmarks::Landmarks`]), and tile-batched
+//!   one thread, no tiling. This is the fix for the historical small-city
+//!   regression, where thread plumbing and setup work cost more than the
+//!   entire sequential build.
+//! * **Large instances** route with worker threads and tile-batched
 //!   processing order ([`rap_graph::tiles::TileGrid`]), and fill the detour
 //!   table over tile-aligned shards.
 //!
-//! Every combination produces a **bit-identical** scenario — the
-//! accelerations only reorder independent work or skip provably useless
-//! node expansions — so callers pick a [`BuildMode`] by performance, never
-//! by semantics. The returned [`BuildReport`] records what was chosen and
-//! how long each phase took, which is what `bench_build` tabulates.
+//! Every mode routes with the same goal-directed target searches
+//! ([`rap_graph::sssp::SsspWorkspace::run_to_targets`]), and every
+//! combination produces a **bit-identical** scenario — the accelerations
+//! only reorder or split independent work — so callers pick a
+//! [`BuildMode`] by performance, never by semantics. The returned
+//! [`BuildReport`] records what was chosen and how long each phase took,
+//! which is what `bench_build` tabulates.
 
 use crate::detour::DetourTable;
 use crate::error::PlacementError;
 use crate::scenario::Scenario;
 use crate::utility::UtilityFunction;
-use rap_graph::landmarks::Landmarks;
 use rap_graph::sssp::{SsspKernel, SsspWorkspace};
 use rap_graph::tiles::TileGrid;
 use rap_graph::{NodeId, RoadGraph};
@@ -79,9 +79,7 @@ pub struct BuildReport {
     pub kernel: SsspKernel,
     /// Tiles in the spatial partition (0 when tiling was off).
     pub tile_count: usize,
-    /// Milliseconds selecting landmarks and building the tile grid.
-    pub landmark_ms: f64,
-    /// Milliseconds routing all flows.
+    /// Milliseconds building the tile grid and routing all flows.
     pub routing_ms: f64,
     /// Milliseconds building the detour table.
     pub detour_ms: f64,
@@ -122,33 +120,24 @@ pub fn build_scenario(
     };
     let kernel = SsspWorkspace::for_graph(&graph).kernel();
 
-    // Phase 1 — acceleration structures: landmark distance tables and the
-    // spatial tile partition.
+    // Phase 1 — the spatial tile partition, then every spec routed
+    // (tile-batched and threaded as planned).
     let phase = Instant::now();
-    let landmarks = plan
-        .use_alt
-        .then(|| Landmarks::select_parallel(&graph, plan.landmark_count, plan.threads));
     let tiles = plan.use_tiles.then(|| match opts.tile_cell {
         Some(cell) => TileGrid::with_cell(&graph, cell),
         None => TileGrid::build(&graph, plan.target_nodes_per_tile),
     });
-    let landmark_ms = phase.elapsed().as_secs_f64() * 1e3;
-
-    // Phase 2 — route every spec (tile-batched, ALT-pruned, threaded as
-    // planned).
-    let phase = Instant::now();
     let flows = FlowSet::route_with(
         &graph,
         specs,
         RouteOptions {
             threads: (plan.threads > 1).then_some(plan.threads),
-            landmarks: landmarks.as_ref(),
             tiles: tiles.as_ref(),
         },
     )?;
     let routing_ms = phase.elapsed().as_secs_f64() * 1e3;
 
-    // Phase 3 — detour table, walking tile-aligned shards when available.
+    // Phase 2 — detour table, walking tile-aligned shards when available.
     let phase = Instant::now();
     let detours = match &tiles {
         Some(grid) => DetourTable::build_tiled(&graph, &flows, &shops, plan.threads, grid)?,
@@ -166,7 +155,6 @@ pub fn build_scenario(
             plan,
             kernel,
             tile_count,
-            landmark_ms,
             routing_ms,
             detour_ms,
             total_ms: start.elapsed().as_secs_f64() * 1e3,
@@ -231,8 +219,14 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!plain_report.plan.use_alt);
+        assert!(!plain_report.plan.use_tiles);
         assert_eq!(plain_report.plan.threads, 1);
+        for f in plain.flows().iter() {
+            let reference = rap_graph::dijkstra::shortest_path_tree(&g, f.origin())
+                .path_to(f.destination())
+                .unwrap();
+            assert_eq!(f.path().nodes(), reference.nodes(), "{:?}", f.id());
+        }
         for (mode, threads) in [
             (BuildMode::Auto, None),
             (BuildMode::Auto, Some(3)),
@@ -252,7 +246,7 @@ mod tests {
             assert_eq!(report.flows, 40);
             assert!(report.total_ms >= 0.0);
             if mode == BuildMode::Accelerated {
-                assert!(report.plan.use_alt && report.plan.use_tiles);
+                assert!(report.plan.use_tiles);
                 assert!(report.tile_count > 0);
             }
         }

@@ -6,10 +6,12 @@
 //! target, following edges backwards) are both cache-friendly. Graphs are
 //! assembled through [`GraphBuilder`] and frozen by [`GraphBuilder::build`].
 
+use crate::astar::GeometricPotential;
 use crate::error::GraphError;
 use crate::geometry::{BoundingBox, Point};
 use crate::node::{Distance, EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A directed street segment between two intersections.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -64,6 +66,8 @@ pub struct RoadGraph {
     // neighbors (entry.node is the *source* of the incoming edge).
     in_offsets: Vec<u32>,
     in_adj: Vec<Neighbor>,
+    /// The A* potential's scales, measured on the first target search.
+    potential: OnceLock<GeometricPotential>,
 }
 
 impl RoadGraph {
@@ -130,6 +134,26 @@ impl RoadGraph {
                 node_count: self.points.len(),
             })
         }
+    }
+
+    /// The geometric A* potential for this graph
+    /// ([`GeometricPotential::for_graph`]), measured once on first use and
+    /// shared by every clone made afterwards.
+    pub fn potential(&self) -> GeometricPotential {
+        *self
+            .potential
+            .get_or_init(|| GeometricPotential::for_graph(self))
+    }
+
+    /// Pins the potential before first use: lets tests run searches under an
+    /// exact potential, whose bound is tight on straight runs — something
+    /// the rounding slack of [`GeometricPotential::for_graph`] never gives.
+    #[cfg(test)]
+    pub(crate) fn with_potential(self, potential: GeometricPotential) -> Self {
+        self.potential
+            .set(potential)
+            .expect("potential pinned before first use");
+        self
     }
 
     /// Outgoing neighbors of `node`.
@@ -430,6 +454,7 @@ impl GraphBuilder {
             out_adj,
             in_offsets,
             in_adj,
+            potential: OnceLock::new(),
         }
     }
 }

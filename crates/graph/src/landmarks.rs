@@ -1,21 +1,24 @@
-//! ALT landmarks: goal-directed search with triangle-inequality bounds.
+//! ALT landmarks: triangle-inequality distance bounds from a few
+//! precomputed trees.
 //!
-//! A* needs a lower bound on the remaining distance. Euclidean geometry
-//! gives one ([`crate::astar`]), but it degrades when edge weights exceed
-//! straight-line distances (bridges, one-ways) and vanishes on graphs whose
-//! weights are decoupled from geometry. The ALT technique (Goldberg &
-//! Harrelson) instead precomputes exact distances to a few *landmarks* `l`
-//! and bounds via the triangle inequality:
+//! The ALT technique (Goldberg & Harrelson) precomputes exact distances to
+//! a few *landmarks* `l` and bounds any distance via the triangle
+//! inequality:
 //!
 //! ```text
 //! d(v, t) ≥ max_l  max( d(v, l) − d(t, l),  d(l, t) − d(l, v) )
 //! ```
 //!
-//! Landmarks are chosen by farthest-point selection, which puts them on the
-//! periphery where the bounds are tight. The map-matcher and CLI use this
-//! for repeated point-to-point queries on one city, and the batched routing
-//! engine ([`crate::sssp::SsspWorkspace::run_to_targets_pruned`]) uses the
-//! same tables to prune one-to-many target searches.
+//! Unlike the geometric bound of [`crate::astar`], it survives edge weights
+//! that exceed straight-line distances (bridges, one-ways) and graphs whose
+//! weights are decoupled from geometry. Landmarks are chosen by
+//! farthest-point selection, which puts them on the periphery where the
+//! bounds are tight.
+//!
+//! No router uses these tables: the goal-directed target searches of
+//! [`crate::sssp`] run on the geometric potential, which measured faster on
+//! the metro and the 200×200 grid than landmark pruning once table
+//! construction is counted. They remain a standalone bound oracle.
 //!
 //! The triangle inequality also yields *upper* bounds — routing through a
 //! landmark is a real (if indirect) path:
@@ -24,16 +27,12 @@
 //! d(v, t) ≤ min_l  d(v, l) + d(l, t)
 //! ```
 //!
-//! ([`Landmarks::upper_bound`]); the pruned search combines both bounds.
+//! ([`Landmarks::upper_bound`]).
 
 use crate::dijkstra::Direction;
-use crate::error::GraphError;
 use crate::graph::RoadGraph;
 use crate::node::{Distance, NodeId};
-use crate::path::Path;
 use crate::sssp::SsspWorkspace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Precomputed landmark distance tables for one graph.
 ///
@@ -153,9 +152,8 @@ impl Landmarks {
 }
 
 /// [`Landmarks::lower_bound`] on raw bound rows: `max_l max(to_v − to_t,
-/// from_t − from_v)`. Shared with the pruned target search, which snapshots
-/// target rows once per run.
-pub(crate) fn lower_bound_rows(row_v: &[Distance], row_t: &[Distance], l: usize) -> Distance {
+/// from_t − from_v)`.
+fn lower_bound_rows(row_v: &[Distance], row_t: &[Distance], l: usize) -> Distance {
     let mut best = Distance::ZERO;
     for k in 0..l {
         // d(v→t) ≥ d(v→l) − d(t→l)
@@ -250,65 +248,6 @@ fn tables(
     per_worker.into_iter().flatten().unzip()
 }
 
-/// A* with the ALT heuristic: exact shortest paths, typically far fewer
-/// settled nodes than Dijkstra on peripheral queries.
-///
-/// # Errors
-///
-/// * [`GraphError::NodeOutOfBounds`] if either endpoint is missing.
-/// * [`GraphError::Unreachable`] if no path exists.
-pub fn alt_path(
-    graph: &RoadGraph,
-    landmarks: &Landmarks,
-    from: NodeId,
-    to: NodeId,
-) -> Result<Path, GraphError> {
-    graph.check_node(from)?;
-    graph.check_node(to)?;
-    let n = graph.node_count();
-    let mut dist = vec![Distance::MAX; n];
-    let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(Distance, Distance, u32)>> = BinaryHeap::new();
-    dist[from.index()] = Distance::ZERO;
-    heap.push(Reverse((
-        landmarks.lower_bound(from, to),
-        Distance::ZERO,
-        from.raw(),
-    )));
-    while let Some(Reverse((_f, g, raw))) = heap.pop() {
-        let u = NodeId::new(raw);
-        if g > dist[u.index()] {
-            continue;
-        }
-        if u == to {
-            break;
-        }
-        for nb in graph.out_neighbors(u) {
-            let ng = g.saturating_add(nb.length);
-            if ng < dist[nb.node.index()] {
-                dist[nb.node.index()] = ng;
-                pred[nb.node.index()] = Some(u);
-                heap.push(Reverse((
-                    ng.saturating_add(landmarks.lower_bound(nb.node, to)),
-                    ng,
-                    nb.node.raw(),
-                )));
-            }
-        }
-    }
-    if dist[to.index()] == Distance::MAX {
-        return Err(GraphError::Unreachable { from, to });
-    }
-    let mut chain = vec![to];
-    let mut cur = to;
-    while let Some(p) = pred[cur.index()] {
-        chain.push(p);
-        cur = p;
-    }
-    chain.reverse();
-    Ok(Path::from_parts_unchecked(chain, dist[to.index()]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,35 +318,6 @@ mod tests {
             for t in g.nodes() {
                 let true_d = tree.distance(t).unwrap();
                 assert_eq!(lm.lower_bound(l, t), true_d, "landmark {l} target {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn alt_matches_dijkstra_everywhere() {
-        let g = perturbed_grid(
-            PerturbedGridParams {
-                rows: 6,
-                cols: 8,
-                spacing: Distance::from_feet(300),
-                delete_probability: 0.12,
-                diagonal_probability: 0.08,
-            },
-            4,
-        );
-        let lm = Landmarks::select(&g, 4);
-        for a in (0..g.node_count() as u32).step_by(9) {
-            for b in (0..g.node_count() as u32).step_by(11) {
-                let expected = dijkstra::distance(&g, NodeId::new(a), NodeId::new(b));
-                match alt_path(&g, &lm, NodeId::new(a), NodeId::new(b)) {
-                    Ok(p) => {
-                        assert_eq!(Some(p.length()), expected, "pair ({a}, {b})");
-                        // Valid walk.
-                        let validated = Path::new(&g, p.nodes().to_vec()).unwrap();
-                        assert!(validated.length() <= p.length());
-                    }
-                    Err(_) => assert_eq!(expected, None, "pair ({a}, {b})"),
-                }
             }
         }
     }

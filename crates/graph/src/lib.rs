@@ -18,8 +18,9 @@
 //!   predecessor trees and path extraction.
 //! * [`sssp`] — the batched preprocessing kernel: Dial-style bucket-queue
 //!   Dijkstra with a reusable epoch-stamped [`SsspWorkspace`], automatic
-//!   bucket-vs-heap selection by edge-length spread, and early-exit runs for
-//!   routing workloads. Bit-identical results to [`dijkstra`].
+//!   bucket-vs-heap selection by edge-length spread, and goal-directed (A*)
+//!   target searches for routing workloads, on the geometric potential of
+//!   [`astar`]. Bit-identical paths to [`dijkstra`].
 //! * [`apsp`] — all-pairs shortest paths, sequential or parallelized with
 //!   crossbeam scoped threads, plus a Floyd–Warshall reference used in tests.
 //! * [`grid`] — Manhattan-grid generator used by the grid scenario of the
@@ -47,7 +48,6 @@
 
 pub mod apsp;
 pub mod astar;
-pub mod bidirectional;
 pub mod connectivity;
 pub mod dijkstra;
 pub mod error;

@@ -12,48 +12,58 @@
 //!   stamps, bucket array, heap) with O(1) reset between runs, so repeated
 //!   tree growths stop allocating;
 //! * a **Dial bucket-queue kernel**: [`Distance`] is an integral number of
-//!   feet, so a monotone circular bucket array with one bucket per foot of
-//!   the longest edge replaces the binary heap — `O(|E| + D)` for maximum
+//!   feet, so a monotone circular bucket array with two buckets per foot
+//!   of the longest edge replaces the binary heap — `O(|E| + D)` for maximum
 //!   settled distance `D`, with no `log |V|` factor and no sift traffic;
 //! * automatic kernel selection by edge-length spread (see
 //!   [`SsspWorkspace::kernel`]): graphs whose longest edge is large relative
 //!   to their size fall back to the binary heap, where the bucket scan and
 //!   footprint would degenerate;
-//! * **early exit** for routing workloads: [`SsspWorkspace::run_to_targets`]
-//!   stops as soon as every requested destination is settled, which on
-//!   uniformly random origin–destination demand roughly halves the settled
-//!   region per tree;
-//! * **ALT-pruned early exit**
-//!   ([`SsspWorkspace::run_to_targets_pruned`]): with precomputed
-//!   [`crate::landmarks::Landmarks`] tables the search additionally skips
-//!   expanding any settled node that *provably* cannot lie on a shortest
-//!   path to any still-unsettled target, shrinking the settled disc toward
-//!   an ellipse around the root–target corridor.
+//! * **goal-directed target searches** for routing workloads:
+//!   [`SsspWorkspace::run_to_targets`] is an A* search keyed by
+//!   `d(v) + π(v)`, where `π` is the geometric lower bound of
+//!   [`crate::astar`], and stops once every requested destination is
+//!   decided. It settles the corridor toward the targets instead of the
+//!   whole disc out to the farthest one. Target sets larger than
+//!   [`GOAL_MAX_TARGETS`] run a plain Dijkstra early exit instead.
 //!
-//! Both kernels settle nodes in exactly the same order — ascending
-//! `(distance, node id)` — so distances, predecessor links, and extracted
-//! paths are **bit-identical** to the reference kernel's (property-tested in
-//! `tests/prop.rs`). Downstream consumers (flow routing, detour tables,
-//! greedy placements) therefore cannot observe which kernel ran, only how
-//! fast it was.
+//! Both kernels settle a full run's nodes in exactly the same order —
+//! ascending `(distance, node id)` — so distances, predecessor links, and
+//! extracted paths are **bit-identical** to the reference kernel's
+//! (property-tested in `tests/prop.rs`). Goal-directed runs settle in a
+//! different order but give their targets the same paths (next section).
+//! Downstream consumers (flow routing, detour tables, greedy placements)
+//! therefore cannot observe which kernel ran, only how fast it was.
 //!
-//! ## Why pruning preserves bit-identity
+//! ## Why goal direction preserves bit-identity
 //!
-//! A node `u` is pruned at its settle time only if, for **every** remaining
-//! target `t`, `d(u) + lb(u, t) > U(t)`, where `lb` is the landmark lower
-//! bound on the remaining distance and `U(t)` is a proven upper bound on the
-//! root–`t` distance (the cheapest landmark route, tightened by `t`'s
-//! tentative distance once the frontier has touched it). Pruning skips the
-//! node's edge expansion but never reorders the queue, so the surviving
-//! settle order is a subsequence of the reference order. Every node on a
-//! reference predecessor chain of a target `t` satisfies
-//! `d(u) + lb(u, t) ≤ d(u) + d(u → t) = d(root, t) ≤ U(t)` — and settles
-//! strictly before `t` does (predecessors are assigned at the relaxer's
-//! settle), so `t` is still an unsettled target when `u` is tested and the
-//! strict inequality fails. Chain nodes are therefore never pruned, their
-//! relaxations happen exactly as in the reference run, and the distances,
-//! predecessors, and extracted paths of all reached targets are unchanged
-//! bit for bit.
+//! In the reference tree, `pred[v]` is the *canonical* predecessor: among
+//! the tight in-neighbours `u` of `v` (those with `d(u) + w(u, v) = d(v)`),
+//! the one with the smallest `(d(u), id(u))`, because that is the first one
+//! ascending `(distance, id)` order settles. A goal-directed run settles in
+//! key order instead, so it reproduces the same choice with two rules that
+//! hold under any settle order:
+//!
+//! 1. **Ties pick the canonical predecessor.** A relaxation over a
+//!    positive-length edge that *ties* `v`'s tentative distance replaces
+//!    `pred[v]` when `(d(u), id(u))` is smaller than the current
+//!    predecessor's. The potential is consistent, so `d(u)` is final when
+//!    `u` relaxes, and `pred[v]` ends as the smallest tight in-neighbour
+//!    that was expanded.
+//! 2. **Every canonical predecessor is expanded.** After the last target
+//!    settles, the search keeps settling while the smallest key is at most
+//!    `D`, the largest target distance (the last target's key, since `π` is
+//!    zero on targets). A node `u` on any shortest root→`t` path has key
+//!    `d(u) + π(u) ≤ d(u) + d(u → t) = d(t) ≤ D`, because `π` never
+//!    overestimates; so every tight in-neighbour of every node on every
+//!    target chain is settled and relaxes its successor before the search
+//!    stops.
+//!
+//! Together these make every target's predecessor chain, and so
+//! [`SsspWorkspace::path_to`], identical to the reference tree's. Rule 1
+//! skips zero-length edges, which the graph builder forbids: with them the
+//! smallest tight in-neighbour can form a cycle, and the reference order
+//! itself stops being `(distance, id)`; distances stay exact either way.
 //!
 //! ```
 //! use rap_graph::{GridGraph, Distance, NodeId};
@@ -69,10 +79,11 @@
 //! assert_eq!(ws.distance(NodeId::new(0)), Some(Distance::from_feet(20)));
 //! ```
 
+use crate::astar::GeometricPotential;
 use crate::dijkstra::{Direction, ShortestPathTree};
 use crate::error::GraphError;
+use crate::geometry::Point;
 use crate::graph::RoadGraph;
-use crate::landmarks::{self, Landmarks};
 use crate::node::{Distance, NodeId};
 use crate::path::Path;
 use std::cmp::Reverse;
@@ -102,10 +113,11 @@ impl SsspKernel {
     }
 }
 
-/// Upper bound on the bucket array length (`max_edge + 1`); graphs with
-/// longer edges use the binary heap. 2^16 buckets cap the circular array at
-/// a well-bounded footprint while covering any realistic street segment
-/// (the city models top out near 6,500 ft between intersections).
+/// Upper bound on `max_edge + 1` for the bucket kernel, whose circular
+/// array holds `2·max_edge + 1` buckets; graphs with longer edges use the
+/// binary heap. The cap bounds the array's footprint while covering any
+/// realistic street segment (the city models top out near 6,500 ft between
+/// intersections).
 pub const MAX_BUCKET_COUNT: usize = 1 << 16;
 
 /// Edge-length spread rule: the bucket kernel is selected only when the
@@ -123,6 +135,14 @@ pub const MAX_BUCKET_COUNT: usize = 1 << 16;
 /// `SPREAD_FACTOR × (|V| + |E|)`.
 const SPREAD_FACTOR: u64 = 8;
 
+/// Largest target set a search goal-directs. The potential costs one bound
+/// per target at every node the search touches, while its pull weakens as
+/// the targets spread around the root: a Seattle origin group (7.5 targets
+/// on average, 121 nodes) routes faster undirected, a metro group (1.4 on
+/// average) several times faster directed. Larger sets run the plain early
+/// exit.
+pub const GOAL_MAX_TARGETS: usize = 4;
+
 /// `pred` sentinel: no predecessor (the root, or an untouched node).
 const NO_PRED: u32 = u32::MAX;
 
@@ -137,8 +157,8 @@ const NO_PRED: u32 = u32::MAX;
 /// A workspace is bound to the graph it was created for. Using it with a
 /// graph of different node or edge counts panics; rebinding to a different
 /// graph of identical shape is undetectable and yields garbage — create one
-/// workspace per graph (they are cheap: two `Vec`s per node plus the bucket
-/// array).
+/// workspace per graph (they are cheap: about 32 bytes per node plus the
+/// bucket array).
 #[derive(Clone, Debug)]
 pub struct SsspWorkspace {
     node_count: usize,
@@ -148,6 +168,9 @@ pub struct SsspWorkspace {
     dist: Vec<Distance>,
     /// Predecessor raw ids (`NO_PRED` = none); valid only where stamped.
     pred: Vec<u32>,
+    /// Goal-directed runs only: the node's potential `π(v)`, valid only
+    /// where stamped. Empty until the first target search.
+    pot: Vec<Distance>,
     /// `stamp[v] == epoch` ⇔ `v` was touched (relaxed) this run.
     stamp: Vec<u32>,
     /// `settled[v] == epoch` ⇔ `v`'s distance is final this run.
@@ -155,114 +178,25 @@ pub struct SsspWorkspace {
     /// `target_stamp[v] == epoch` ⇔ `v` is an early-exit target this run.
     target_stamp: Vec<u32>,
     epoch: u32,
-    /// Circular bucket array (empty when the kernel is the binary heap).
+    /// Coordinates of this run's distinct targets (goal-directed runs).
+    goals: Vec<Point>,
+    /// Circular bucket array of `2·max_edge + 1` buckets (empty when the
+    /// kernel is the binary heap).
     buckets: Vec<Vec<u32>>,
     /// Drain scratch for one bucket, kept to reuse its allocation.
     drain: Vec<u32>,
+    /// Binary-heap queue of `(key, node)`.
     heap: BinaryHeap<Reverse<(Distance, u32)>>,
+    /// Entries currently in the bucket array (stale ones included).
+    queued: usize,
+    /// The potential of the current goal-directed run.
+    potential: GeometricPotential,
     root: NodeId,
     direction: Direction,
     /// True when the last run settled every reachable node (no early exit).
     complete: bool,
     /// Nodes settled by the last run (instrumentation for benches/tests).
     last_settled: u64,
-    /// Settled nodes whose expansion the last run pruned via landmarks.
-    last_pruned: u64,
-}
-
-/// Per-run ALT pruning state: one bound-row snapshot and one upper bound per
-/// still-unsettled target. Lives on the kernel's stack, not in the
-/// workspace, so unpruned runs pay nothing.
-struct Pruner<'a> {
-    lm: &'a Landmarks,
-    /// `2·L` (row stride in the snapshots below).
-    stride: usize,
-    /// True for [`Direction::Reverse`] runs, where the remaining search
-    /// distance from settled `u` to target `t` is the forward `d(t → u)`.
-    reverse: bool,
-    /// Raw id and static landmark upper bound of each unsettled target.
-    active: Vec<(u32, Distance)>,
-    /// Bound-row snapshots, `stride` entries per active target, kept in sync
-    /// with `active` under swap-removal.
-    rows: Vec<Distance>,
-}
-
-impl<'a> Pruner<'a> {
-    fn new(lm: &'a Landmarks, reverse: bool) -> Self {
-        Pruner {
-            lm,
-            stride: 2 * lm.count(),
-            reverse,
-            active: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Registers a (distinct, in-bounds) target of the current run.
-    fn add_target(&mut self, root: NodeId, t: NodeId) {
-        // Upper bound on the search distance root..t: route via the best
-        // landmark. Forward searches need d(root → t), reverse searches
-        // d(t → root).
-        let upper = if self.reverse {
-            self.lm.upper_bound(t, root)
-        } else {
-            self.lm.upper_bound(root, t)
-        };
-        self.active.push((t.raw(), upper));
-        self.rows.extend_from_slice(self.lm.bounds_row(t));
-    }
-
-    /// Drops a just-settled target from the active set.
-    fn target_settled(&mut self, raw: u32) {
-        if let Some(i) = self.active.iter().position(|&(r, _)| r == raw) {
-            self.active.swap_remove(i);
-            let last = self.rows.len() - self.stride;
-            if i * self.stride < last {
-                let (head, tail) = self.rows.split_at_mut(last);
-                head[i * self.stride..(i + 1) * self.stride].copy_from_slice(tail);
-            }
-            self.rows.truncate(last);
-        }
-    }
-
-    /// True when settled node `u` at distance `d` provably cannot improve
-    /// (or lie on a shortest path to) any remaining target: for **every**
-    /// active `t`, `d + lb(u, t)` strictly exceeds the best proven upper
-    /// bound on `t`'s final distance — the static landmark route, tightened
-    /// by `t`'s tentative distance once stamped (a tentative distance only
-    /// ever shrinks toward the final one, so it is always a valid upper
-    /// bound).
-    fn should_prune(
-        &self,
-        u: usize,
-        d: Distance,
-        dist: &[Distance],
-        stamp: &[u32],
-        epoch: u32,
-    ) -> bool {
-        let row_u = self.lm.bounds_row(NodeId::new(u as u32));
-        let l = self.lm.count();
-        for (i, &(raw, static_upper)) in self.active.iter().enumerate() {
-            let t = raw as usize;
-            let mut upper = static_upper;
-            if stamp[t] == epoch {
-                upper = upper.min(dist[t]);
-            }
-            if upper == Distance::MAX {
-                return false; // no bound on this target yet
-            }
-            let row_t = &self.rows[i * self.stride..(i + 1) * self.stride];
-            let lb = if self.reverse {
-                landmarks::lower_bound_rows(row_t, row_u, l)
-            } else {
-                landmarks::lower_bound_rows(row_u, row_t, l)
-            };
-            if d.saturating_add(lb) <= upper {
-                return false; // u may still matter for this target
-            }
-        }
-        true
-    }
 }
 
 impl SsspWorkspace {
@@ -316,7 +250,7 @@ impl SsspWorkspace {
                     (max_edge as usize) < MAX_BUCKET_COUNT,
                     "bucket kernel needs max edge length {max_edge} < {MAX_BUCKET_COUNT}"
                 );
-                vec![Vec::new(); max_edge as usize + 1]
+                vec![Vec::new(); 2 * max_edge as usize + 1]
             }
             SsspKernel::BinaryHeap => Vec::new(),
         };
@@ -326,18 +260,21 @@ impl SsspWorkspace {
             kernel,
             dist: vec![Distance::MAX; n],
             pred: vec![NO_PRED; n],
+            pot: Vec::new(),
             stamp: vec![0; n],
             settled: vec![0; n],
             target_stamp: vec![0; n],
             epoch: 0,
+            goals: Vec::new(),
             buckets,
             drain: Vec::new(),
             heap: BinaryHeap::new(),
+            queued: 0,
+            potential: GeometricPotential::new(0.0, 0.0),
             root: NodeId::new(0),
             direction: Direction::Forward,
             complete: false,
             last_settled: 0,
-            last_pruned: 0,
         }
     }
 
@@ -354,17 +291,22 @@ impl SsspWorkspace {
     /// Panics if `root` is out of bounds or the graph does not match the one
     /// the workspace was built for.
     pub fn run(&mut self, graph: &RoadGraph, root: NodeId, direction: Direction) {
-        self.run_inner(graph, root, direction, None, None);
+        self.begin(graph, root, direction, true);
+        self.search::<false>(graph, root, direction, 0);
     }
 
-    /// Like [`SsspWorkspace::run`], but stops as soon as every node in
-    /// `targets` is settled; queries for non-target nodes afterwards report
-    /// unreachable. Out-of-bounds targets are ignored (a later
+    /// A goal-directed (A*) search from `root` that stops once every node
+    /// in `targets` is settled and every shortest path to them is decided;
+    /// queries for other nodes afterwards may report unreachable. More than
+    /// [`GOAL_MAX_TARGETS`] distinct targets run undirected, in `(distance,
+    /// id)` order, up to the last target.
+    /// Out-of-bounds targets are ignored (a later
     /// [`path_to`](SsspWorkspace::path_to) for them errors with
     /// [`GraphError::NodeOutOfBounds`]).
     ///
     /// Settled targets carry exactly the distance, predecessor chain, and
-    /// extracted path a full run would give them.
+    /// extracted path a full [`run`](SsspWorkspace::run) — and the reference
+    /// tree in [`crate::dijkstra`] — would give them (see the module docs).
     pub fn run_to_targets(
         &mut self,
         graph: &RoadGraph,
@@ -372,47 +314,50 @@ impl SsspWorkspace {
         direction: Direction,
         targets: &[NodeId],
     ) {
-        self.run_inner(graph, root, direction, Some(targets), None);
+        self.begin(graph, root, direction, false);
+        self.goals.clear();
+        let mut remaining = 0usize;
+        for &t in targets {
+            if t.index() < self.node_count && self.target_stamp[t.index()] != self.epoch {
+                self.target_stamp[t.index()] = self.epoch;
+                self.goals.push(graph.point(t));
+                remaining += 1;
+            }
+        }
+        if remaining == 0 {
+            return; // nothing requested (or all targets out of bounds)
+        }
+        if remaining > GOAL_MAX_TARGETS {
+            // Plain early exit: settle in `(distance, id)` order and stop at
+            // the last target, like the reference tree up to that point.
+            self.search::<false>(graph, root, direction, remaining);
+            return;
+        }
+        if self.pot.len() != self.node_count {
+            self.pot = vec![Distance::ZERO; self.node_count];
+        }
+        self.potential = graph.potential();
+        self.pot[root.index()] = self.potential.to_nearest(graph.point(root), &self.goals);
+        self.search::<true>(graph, root, direction, remaining);
     }
 
-    /// [`SsspWorkspace::run_to_targets`] with ALT pruning: beyond the early
-    /// exit, every settled node is tested against the landmark bounds and
-    /// its edge expansion skipped when it provably cannot improve any
-    /// remaining target (see the module docs for the bit-identity argument).
-    /// Settled targets carry exactly the distance, predecessor chain, and
-    /// extracted path the unpruned run would give them; unreachable targets
-    /// disable pruning for the run (no upper bound ever forms) and behave as
-    /// in [`SsspWorkspace::run_to_targets`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `landmarks` was built for a graph with a different node
-    /// count, or under the same conditions as [`SsspWorkspace::run`].
-    pub fn run_to_targets_pruned(
+    /// Runs the workspace's kernel; `remaining` counts the distinct targets
+    /// of an early-exit run (0 for a full tree).
+    fn search<const GOAL: bool>(
         &mut self,
         graph: &RoadGraph,
         root: NodeId,
         direction: Direction,
-        targets: &[NodeId],
-        landmarks: &Landmarks,
+        remaining: usize,
     ) {
-        assert!(
-            landmarks.node_count() == graph.node_count(),
-            "landmarks built for a {}-node graph used with a {}-node graph",
-            landmarks.node_count(),
-            graph.node_count()
-        );
-        self.run_inner(graph, root, direction, Some(targets), Some(landmarks));
+        match self.kernel {
+            SsspKernel::BucketQueue => self.run_bucket::<GOAL>(graph, root, direction, remaining),
+            SsspKernel::BinaryHeap => self.run_heap::<GOAL>(graph, root, direction, remaining),
+        }
     }
 
-    fn run_inner(
-        &mut self,
-        graph: &RoadGraph,
-        root: NodeId,
-        direction: Direction,
-        targets: Option<&[NodeId]>,
-        landmarks: Option<&Landmarks>,
-    ) {
+    /// Resets the workspace for a new run and seeds the root.
+    fn begin(&mut self, graph: &RoadGraph, root: NodeId, direction: Direction, complete: bool) {
         assert!(
             graph.node_count() == self.node_count && graph.edge_count() == self.edge_count,
             "workspace built for a {}-node/{}-edge graph used with a {}-node/{}-edge graph",
@@ -429,194 +374,197 @@ impl SsspWorkspace {
         self.bump_epoch();
         self.root = root;
         self.direction = direction;
-        self.complete = targets.is_none();
+        self.complete = complete;
         self.last_settled = 0;
-        self.last_pruned = 0;
-        let mut remaining = 0usize;
-        let mut pruner =
-            landmarks.map(|lm| Pruner::new(lm, matches!(direction, Direction::Reverse)));
-        if let Some(ts) = targets {
-            for &t in ts {
-                if t.index() < self.node_count && self.target_stamp[t.index()] != self.epoch {
-                    self.target_stamp[t.index()] = self.epoch;
-                    remaining += 1;
-                    if let Some(p) = pruner.as_mut() {
-                        p.add_target(root, t);
-                    }
-                }
-            }
-            if remaining == 0 {
-                return; // nothing requested (or all targets out of bounds)
-            }
-        }
-        let early = targets.is_some();
         self.stamp[root.index()] = self.epoch;
         self.dist[root.index()] = Distance::ZERO;
         self.pred[root.index()] = NO_PRED;
-        match self.kernel {
-            SsspKernel::BucketQueue => {
-                self.run_bucket(graph, root, direction, early, remaining, pruner)
-            }
-            SsspKernel::BinaryHeap => {
-                self.run_heap(graph, root, direction, early, remaining, pruner)
-            }
+    }
+
+    /// The queue key of stamped node `v`: `d(v) + π(v)` when goal-directed,
+    /// `d(v)` otherwise.
+    #[inline]
+    fn key<const GOAL: bool>(&self, v: usize) -> Distance {
+        if GOAL {
+            self.dist[v].saturating_add(self.pot[v])
+        } else {
+            self.dist[v]
         }
     }
 
-    /// Dial's algorithm. Each bucket is drained in ascending node-id order,
-    /// which makes the settle order identical to the binary heap's pops of
-    /// `(distance, id)` pairs — and therefore makes the predecessor tree
-    /// bit-identical, not merely equal in distance.
-    fn run_bucket(
+    /// Queues node `v` under `key` in whichever structure the kernel uses.
+    #[inline]
+    fn enqueue(&mut self, v: u32, key: Distance) {
+        match self.kernel {
+            SsspKernel::BucketQueue => {
+                let b = self.buckets.len() as u64;
+                self.buckets[(key.feet() % b) as usize].push(v);
+                self.queued += 1;
+            }
+            SsspKernel::BinaryHeap => self.heap.push(Reverse((key, v))),
+        }
+    }
+
+    /// Relaxes every edge out of settled node `u` in the search direction,
+    /// queueing each node whose tentative distance drops.
+    ///
+    /// Goal-directed runs also apply the canonical tie rule: a relaxation
+    /// that *ties* `v`'s tentative distance over a positive-length edge
+    /// takes over `pred[v]` when `(d(u), u)` is smaller than the current
+    /// predecessor's — see the module docs.
+    #[inline]
+    fn relax<const GOAL: bool>(&mut self, graph: &RoadGraph, u: u32, direction: Direction) {
+        let node = NodeId::new(u);
+        let du = self.dist[u as usize];
+        let neighbors = match direction {
+            Direction::Forward => graph.out_neighbors(node),
+            Direction::Reverse => graph.in_neighbors(node),
+        };
+        for nb in neighbors {
+            let v = nb.node.index();
+            let nd = du.saturating_add(nb.length);
+            // `nd < MAX` mirrors the reference kernel's `nd < dist[v]`
+            // against MAX-initialized slots: a saturated distance never
+            // relaxes (and keeps the circular bucket index well-defined).
+            if nd == Distance::MAX {
+                continue;
+            }
+            if self.stamp[v] != self.epoch {
+                self.stamp[v] = self.epoch;
+                if GOAL {
+                    self.pot[v] = self.potential.to_nearest(graph.point(nb.node), &self.goals);
+                }
+            } else if nd >= self.dist[v] {
+                if GOAL && nd == self.dist[v] && nb.length > Distance::ZERO {
+                    let p = self.pred[v];
+                    if (du, u) < (self.dist[p as usize], p) {
+                        self.pred[v] = u;
+                    }
+                }
+                continue;
+            }
+            self.dist[v] = nd;
+            self.pred[v] = u;
+            let key = self.key::<GOAL>(v);
+            debug_assert!(
+                key >= self.key::<GOAL>(u as usize),
+                "inconsistent potential"
+            );
+            self.enqueue(nb.node.raw(), key);
+        }
+    }
+
+    /// Dial's algorithm over keys. Each bucket is drained in ascending
+    /// node-id order, which makes a full run's settle order identical to the
+    /// binary heap's pops of `(distance, id)` pairs — and therefore makes
+    /// the predecessor tree bit-identical, not merely equal in distance.
+    ///
+    /// Keys are monotone (the potential is consistent) and a relaxation
+    /// raises the key by at most `2·max_edge` (`max_edge` without a
+    /// potential), so every queued key lies within one window of the
+    /// `2·max_edge + 1` buckets and the circular index is unambiguous.
+    fn run_bucket<const GOAL: bool>(
         &mut self,
         graph: &RoadGraph,
         root: NodeId,
         direction: Direction,
-        early: bool,
         mut remaining: usize,
-        mut pruner: Option<Pruner<'_>>,
     ) {
-        // An edgeless graph gets a single bucket (`max_edge + 1 == 1`): the
-        // root settles out of bucket 0 and there is nothing to relax, so the
-        // circular index never has to distinguish distances.
-        let b = self.buckets.len();
-        self.buckets[0].push(root.raw());
-        let mut queued = 1usize;
-        let mut d = 0u64;
-        let mut idx = 0usize;
+        let b = self.buckets.len() as u64;
+        let mut key = self.key::<GOAL>(root.index()).feet();
+        let mut idx = (key % b) as usize;
+        self.queued = 0;
+        self.enqueue(root.raw(), Distance::from_feet(key));
         let mut drain = std::mem::take(&mut self.drain);
-        'scan: while queued > 0 {
-            // Re-drain the same bucket until it stays empty: pushes during
-            // the drain land here only via zero-length edges, which the
-            // graph builder forbids, but the loop keeps the kernel correct
-            // even if that invariant is ever relaxed.
+        let early = remaining > 0;
+        'scan: while self.queued > 0 {
+            // Re-drain the same bucket until it stays empty: a relaxation
+            // with zero reduced cost lands back in it.
             while !self.buckets[idx].is_empty() {
                 drain.clear();
                 std::mem::swap(&mut drain, &mut self.buckets[idx]);
-                queued -= drain.len();
-                // Ascending id order among equal-distance nodes (see above).
+                self.queued -= drain.len();
+                // Ascending id order among equal keys (see above).
                 drain.sort_unstable();
                 for &raw in &drain {
                     let u = raw as usize;
-                    if self.dist[u].feet() != d {
-                        continue; // stale entry: improved to a smaller distance
+                    if self.key::<GOAL>(u).feet() != key {
+                        continue; // stale entry: improved to a smaller key
                     }
                     debug_assert_ne!(self.settled[u], self.epoch, "node settled twice");
                     self.settled[u] = self.epoch;
                     self.last_settled += 1;
                     if early && self.target_stamp[u] == self.epoch {
                         remaining -= 1;
-                        if let Some(p) = pruner.as_mut() {
-                            p.target_settled(raw);
-                        }
-                        if remaining == 0 {
-                            // Remaining queue entries are abandoned; clear
-                            // every bucket so the next run starts clean.
-                            for bucket in &mut self.buckets {
-                                bucket.clear();
-                            }
-                            break 'scan;
+                        if remaining == 0 && !GOAL {
+                            break 'scan; // Dijkstra order: every chain is final
                         }
                     }
-                    if let Some(p) = pruner.as_ref() {
-                        if p.should_prune(
-                            u,
-                            Distance::from_feet(d),
-                            &self.dist,
-                            &self.stamp,
-                            self.epoch,
-                        ) {
-                            self.last_pruned += 1;
-                            continue; // settled, but provably never expanded
-                        }
-                    }
-                    let node = NodeId::new(raw);
-                    let neighbors = match direction {
-                        Direction::Forward => graph.out_neighbors(node),
-                        Direction::Reverse => graph.in_neighbors(node),
-                    };
-                    for nb in neighbors {
-                        let v = nb.node.index();
-                        let nd = Distance::from_feet(d).saturating_add(nb.length);
-                        // `nd < MAX` mirrors the reference kernel's
-                        // `nd < dist[v]` against MAX-initialized slots (a
-                        // saturated distance never relaxes) and keeps the
-                        // circular bucket index well-defined.
-                        if nd < Distance::MAX && (self.stamp[v] != self.epoch || nd < self.dist[v])
-                        {
-                            self.stamp[v] = self.epoch;
-                            self.dist[v] = nd;
-                            self.pred[v] = raw;
-                            self.buckets[(nd.feet() % b as u64) as usize].push(nb.node.raw());
-                            queued += 1;
-                        }
-                    }
+                    self.relax::<GOAL>(graph, raw, direction);
                 }
             }
-            if queued == 0 {
+            // The last target settled at this key, which is its distance
+            // (`π` is zero on targets) and the largest target distance:
+            // every node on a shortest path to a target has a key at most
+            // that, so nothing queued from here on can change a target's
+            // chain.
+            if GOAL && remaining == 0 {
                 break;
             }
-            d += 1;
+            key += 1;
             idx += 1;
-            if idx == b {
+            if idx as u64 == b {
                 idx = 0;
             }
+        }
+        if self.queued > 0 {
+            // Abandoned entries: clear every bucket so the next run starts
+            // clean.
+            for bucket in &mut self.buckets {
+                bucket.clear();
+            }
+            self.queued = 0;
         }
         self.drain = drain;
     }
 
-    /// Binary-heap Dijkstra — the reference kernel's loop verbatim, minus
-    /// its per-call allocations, plus the early-exit check.
-    fn run_heap(
+    /// Binary-heap Dijkstra (A* when goal-directed) over `(key, id)` — the
+    /// reference kernel's loop minus its per-call allocations.
+    fn run_heap<const GOAL: bool>(
         &mut self,
         graph: &RoadGraph,
         root: NodeId,
         direction: Direction,
-        early: bool,
         mut remaining: usize,
-        mut pruner: Option<Pruner<'_>>,
     ) {
         self.heap.clear();
-        self.heap.push(Reverse((Distance::ZERO, root.raw())));
-        while let Some(Reverse((dd, raw))) = self.heap.pop() {
+        self.enqueue(root.raw(), self.key::<GOAL>(root.index()));
+        // Once the last target settles: its key, past which nothing can
+        // change a target's chain (see `run_bucket`).
+        let mut limit = Distance::MAX;
+        let early = remaining > 0;
+        while let Some(Reverse((key, raw))) = self.heap.pop() {
             let u = raw as usize;
-            if dd > self.dist[u] {
+            if key > limit {
+                break;
+            }
+            if key > self.key::<GOAL>(u) {
                 continue; // stale heap entry
             }
             self.settled[u] = self.epoch;
             self.last_settled += 1;
             if early && self.target_stamp[u] == self.epoch {
                 remaining -= 1;
-                if let Some(p) = pruner.as_mut() {
-                    p.target_settled(raw);
-                }
                 if remaining == 0 {
-                    self.heap.clear();
-                    break;
+                    if !GOAL {
+                        break; // Dijkstra order: every chain is final
+                    }
+                    limit = key;
                 }
             }
-            if let Some(p) = pruner.as_ref() {
-                if p.should_prune(u, dd, &self.dist, &self.stamp, self.epoch) {
-                    self.last_pruned += 1;
-                    continue; // settled, but provably never expanded
-                }
-            }
-            let node = NodeId::new(raw);
-            let neighbors = match direction {
-                Direction::Forward => graph.out_neighbors(node),
-                Direction::Reverse => graph.in_neighbors(node),
-            };
-            for nb in neighbors {
-                let v = nb.node.index();
-                let nd = dd.saturating_add(nb.length);
-                if nd < Distance::MAX && (self.stamp[v] != self.epoch || nd < self.dist[v]) {
-                    self.stamp[v] = self.epoch;
-                    self.dist[v] = nd;
-                    self.pred[v] = raw;
-                    self.heap.push(Reverse((nd, nb.node.raw())));
-                }
-            }
+            self.relax::<GOAL>(graph, raw, direction);
         }
+        self.heap.clear();
     }
 
     fn bump_epoch(&mut self) {
@@ -642,16 +590,10 @@ impl SsspWorkspace {
         self.direction
     }
 
-    /// Number of nodes the last run settled (instrumentation; benches use
-    /// the reduction under pruning as the headline metric).
+    /// Number of nodes the last run settled (instrumentation: benches sum
+    /// it as the routing layer's deterministic work counter).
     pub fn last_run_settled(&self) -> u64 {
         self.last_settled
-    }
-
-    /// Of the last run's settled nodes, how many had their expansion pruned
-    /// by the landmark bounds. Zero for unpruned runs.
-    pub fn last_run_pruned(&self) -> u64 {
-        self.last_pruned
     }
 
     /// Exact shortest distance between the last run's root and `node`, or
@@ -956,8 +898,7 @@ mod tests {
         ws.run(other.graph(), NodeId::new(0), Direction::Forward);
     }
 
-    /// 100-node two-way line, 10 ft per hop: farthest-point selection puts
-    /// landmarks at both ends, where the ALT bounds are exact.
+    /// 100-node two-way line, 10 ft per hop, laid out along the x axis.
     fn line100() -> RoadGraph {
         let mut b = GraphBuilder::new();
         let v: Vec<NodeId> = (0..100)
@@ -972,18 +913,12 @@ mod tests {
     #[test]
     fn pruned_targets_match_reference_and_actually_prune() {
         let g = line100();
-        let lm = crate::landmarks::Landmarks::select(&g, 2);
         let root = NodeId::new(50);
         let targets = [NodeId::new(52), NodeId::new(95)];
         let reference = dijkstra::shortest_path_tree(&g, root);
         for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
-            let mut plain = SsspWorkspace::with_kernel_for_graph(&g, kernel);
-            plain.run_to_targets(&g, root, Direction::Forward, &targets);
-            let unpruned_settled = plain.last_run_settled();
-            assert_eq!(plain.last_run_pruned(), 0);
-
             let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
-            ws.run_to_targets_pruned(&g, root, Direction::Forward, &targets, &lm);
+            ws.run_to_targets(&g, root, Direction::Forward, &targets);
             for t in targets {
                 assert_eq!(ws.distance(t), reference.distance(t), "{kernel:?} {t}");
                 assert_eq!(
@@ -992,27 +927,22 @@ mod tests {
                     "{kernel:?} {t}"
                 );
             }
-            // The far target forces the frontier right; everything left of
-            // the root past the bound is provably useless and pruned.
-            assert!(ws.last_run_pruned() > 0, "{kernel:?} pruned nothing");
-            assert!(
-                ws.last_run_settled() < unpruned_settled,
-                "{kernel:?} settled {} ≥ unpruned {}",
-                ws.last_run_settled(),
-                unpruned_settled
-            );
+            // An undirected search settles 5..=95. The potential bounds
+            // node 50 - k at 10k + π, with π ≈ 10(k + 2) toward node 52, so
+            // only k ≤ 21 fits under the 450 ft target distance.
+            assert_eq!(ws.distance(NodeId::new(20)), None, "{kernel:?}");
+            assert_eq!(ws.last_run_settled(), 21 + 46, "{kernel:?}");
         }
     }
 
     #[test]
     fn pruned_reverse_run_matches_reference() {
         let g = line100();
-        let lm = crate::landmarks::Landmarks::select(&g, 2);
         let root = NodeId::new(60);
         let targets = [NodeId::new(58), NodeId::new(3)];
         let reference = dijkstra::reverse_shortest_path_tree(&g, root);
         let mut ws = SsspWorkspace::for_graph(&g);
-        ws.run_to_targets_pruned(&g, root, Direction::Reverse, &targets, &lm);
+        ws.run_to_targets(&g, root, Direction::Reverse, &targets);
         for t in targets {
             assert_eq!(ws.distance(t), reference.distance(t), "{t}");
             assert_eq!(
@@ -1021,6 +951,7 @@ mod tests {
                 "{t}"
             );
         }
+        assert_eq!(ws.distance(NodeId::new(90)), None);
     }
 
     #[test]
@@ -1031,33 +962,141 @@ mod tests {
         let island = b.add_node(Point::new(90.0, 90.0));
         b.add_two_way(a, c, Distance::from_feet(3)).unwrap();
         let g = b.build();
-        let lm = crate::landmarks::Landmarks::select(&g, 2);
         let mut ws = SsspWorkspace::for_graph(&g);
-        // The island never gets an upper bound, so pruning stays disabled
-        // and the run exhausts the reachable component.
-        ws.run_to_targets_pruned(&g, a, Direction::Forward, &[island, c], &lm);
+        // The island never settles, so the run exhausts the reachable
+        // component and still routes the reachable target.
+        ws.run_to_targets(&g, a, Direction::Forward, &[island, c]);
         assert_eq!(ws.distance(c), Some(Distance::from_feet(3)));
+        assert_eq!(ws.path_to(c).unwrap().nodes(), &[a, c]);
         assert!(matches!(
             ws.path_to(island),
             Err(GraphError::Unreachable { .. })
         ));
-        assert_eq!(ws.last_run_pruned(), 0);
+        assert_eq!(ws.last_run_settled(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "landmarks built for")]
-    fn pruned_run_rejects_mismatched_landmarks() {
-        let g = line100();
-        let other = GridGraph::new(3, 3, Distance::from_feet(10));
-        let lm = crate::landmarks::Landmarks::select(other.graph(), 2);
-        let mut ws = SsspWorkspace::for_graph(&g);
-        ws.run_to_targets_pruned(
-            &g,
-            NodeId::new(0),
-            Direction::Forward,
-            &[NodeId::new(5)],
-            &lm,
+    fn tight_potential_keeps_canonical_paths() {
+        // Two shortest routes 0 → 1 along the x axis, every edge as long as
+        // its L1 span, so scale 1 is exact and every node's key is 10: the
+        // one-hop route (0 → 3 → 1) reaches the target first, but the
+        // canonical predecessor is node 2 (d = 4 < 7), which relaxes the
+        // target only after it settles — the keep-settling rule's case.
+        let mut b = GraphBuilder::new();
+        for x in [0.0, 10.0, 4.0, 7.0, 2.0] {
+            b.add_node(Point::new(x, 0.0));
+        }
+        let v = |i: u32| NodeId::new(i);
+        for (s, d, w) in [(0, 3, 7), (3, 1, 3), (0, 4, 2), (4, 2, 2), (2, 1, 6)] {
+            b.add_edge(v(s), v(d), Distance::from_feet(w)).unwrap();
+        }
+        let g = b.build().with_potential(GeometricPotential::new(1.0, 1.0));
+        let reference = dijkstra::shortest_path_tree(&g, v(0));
+        assert_eq!(
+            reference.path_to(v(1)).unwrap().nodes(),
+            &[v(0), v(4), v(2), v(1)]
         );
+        for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
+            let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
+            ws.run_to_targets(&g, v(0), Direction::Forward, &[v(1)]);
+            assert_eq!(
+                ws.path_to(v(1)).unwrap().nodes(),
+                reference.path_to(v(1)).unwrap().nodes(),
+                "{kernel:?}"
+            );
+        }
+
+        // The same on a grid, where every staircase ties, in both
+        // directions.
+        let grid = GridGraph::new(6, 7, Distance::from_feet(10));
+        let g = grid
+            .graph()
+            .clone()
+            .with_potential(GeometricPotential::new(1.0, 1.0));
+        let n = g.node_count() as u32;
+        for direction in [Direction::Forward, Direction::Reverse] {
+            for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
+                let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
+                for root in (0..n).step_by(5).map(NodeId::new) {
+                    let reference = match direction {
+                        Direction::Forward => dijkstra::shortest_path_tree(&g, root),
+                        Direction::Reverse => dijkstra::reverse_shortest_path_tree(&g, root),
+                    };
+                    for t in (0..n).step_by(3).map(NodeId::new) {
+                        ws.run_to_targets(&g, root, direction, &[t]);
+                        assert_eq!(
+                            ws.path_to(t).unwrap().nodes(),
+                            reference.path_to(t).unwrap().nodes(),
+                            "{kernel:?} {direction:?} {root}->{t}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A 60×60 grid on a 100 ft pitch whose intersections are jittered by
+    /// up to ±25 ft (deterministic xorshift), with straight-line street
+    /// lengths.
+    fn jittered_grid() -> RoadGraph {
+        const SIDE: u32 = 60;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut jitter = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 51) as f64 - 25.0
+        };
+        let mut b = GraphBuilder::new();
+        for r in 0..SIDE {
+            for c in 0..SIDE {
+                b.add_node(Point::new(
+                    c as f64 * 100.0 + jitter(),
+                    r as f64 * 100.0 + jitter(),
+                ));
+            }
+        }
+        let id = |r: u32, c: u32| NodeId::new(r * SIDE + c);
+        for r in 0..SIDE {
+            for c in 0..SIDE {
+                if c + 1 < SIDE {
+                    b.add_two_way_euclidean(id(r, c), id(r, c + 1)).unwrap();
+                }
+                if r + 1 < SIDE {
+                    b.add_two_way_euclidean(id(r, c), id(r + 1, c)).unwrap();
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn goal_direction_engages_on_a_jittered_grid() {
+        let g = jittered_grid();
+        assert!(g.potential().l2_scale() > 0.99, "{:?}", g.potential());
+        // Corner to corner along the grid's edge: an undirected search
+        // settles the quarter disc out to the target's distance.
+        let (root, target) = (NodeId::new(0), NodeId::new(59));
+        let reference = dijkstra::shortest_path_tree(&g, root);
+        let reach = reference.distance(target).unwrap();
+        let within = g
+            .nodes()
+            .filter(|&v| reference.distance(v).is_some_and(|d| d <= reach))
+            .count() as u64;
+        for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
+            let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
+            ws.run_to_targets(&g, root, Direction::Forward, &[target]);
+            assert_eq!(
+                ws.path_to(target).unwrap().nodes(),
+                reference.path_to(target).unwrap().nodes(),
+                "{kernel:?}"
+            );
+            assert!(
+                2 * ws.last_run_settled() < within,
+                "{kernel:?} settled {} of the {within} nodes within {reach}",
+                ws.last_run_settled()
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use rap_graph::apsp::DistanceMatrix;
 use rap_graph::dijkstra::Direction;
-use rap_graph::landmarks::Landmarks;
 use rap_graph::sssp::{SsspKernel, SsspWorkspace, MAX_BUCKET_COUNT};
 use rap_graph::{dijkstra, BoundingBox, Distance, GraphBuilder, GridGraph, NodeId, Point};
 
@@ -66,39 +65,62 @@ fn assert_kernels_match_reference(
     Ok(())
 }
 
-/// Asserts the ALT-pruned target run is bit-identical to the unpruned
-/// reference on every target, in both directions: same settled distances,
-/// same extracted path node sequences (i.e. identical predecessors on the
-/// target chains), and agreement on unreachability. Distances are
-/// additionally cross-checked against the full reference tree.
-fn assert_pruned_matches_unpruned(
+/// Asserts that a goal-directed target run gives every target exactly the
+/// reference tree's path — the same node sequence, hence the same
+/// predecessor chain — and agrees on unreachability, in both directions.
+/// Each case runs twice: with `targets` as given, and with the root and a
+/// duplicate of the first target appended.
+fn assert_targets_match_reference(
     g: &rap_graph::RoadGraph,
     root: NodeId,
     targets: &[NodeId],
-    landmarks: &Landmarks,
 ) -> Result<(), TestCaseError> {
+    let mut extended = targets.to_vec();
+    extended.push(root);
+    extended.extend(targets.first().copied());
+    let mut ws = SsspWorkspace::for_graph(g);
     for direction in [Direction::Forward, Direction::Reverse] {
         let reference = match direction {
             Direction::Forward => dijkstra::shortest_path_tree(g, root),
             Direction::Reverse => dijkstra::reverse_shortest_path_tree(g, root),
         };
-        let mut plain = SsspWorkspace::for_graph(g);
-        let mut pruned = SsspWorkspace::for_graph(g);
-        plain.run_to_targets(g, root, direction, targets);
-        pruned.run_to_targets_pruned(g, root, direction, targets, landmarks);
-        for &t in targets {
-            prop_assert_eq!(plain.distance(t), pruned.distance(t));
-            prop_assert_eq!(pruned.distance(t), reference.distance(t));
-            match plain.path_to(t) {
-                Ok(path) => {
-                    let pp = pruned.path_to(t).expect("pruned run reaches target");
-                    prop_assert_eq!(pp.nodes(), path.nodes());
+        for set in [targets, &extended[..]] {
+            ws.run_to_targets(g, root, direction, set);
+            for &t in set {
+                prop_assert_eq!(ws.distance(t), reference.distance(t));
+                match reference.path_to(t) {
+                    Ok(path) => {
+                        let got = ws.path_to(t).expect("goal-directed run reaches target");
+                        prop_assert_eq!(got.nodes(), path.nodes());
+                    }
+                    Err(_) => prop_assert!(ws.path_to(t).is_err()),
                 }
-                Err(_) => prop_assert!(pruned.path_to(t).is_err()),
             }
         }
     }
     Ok(())
+}
+
+/// Strategy: a random directed graph whose node coordinates are scattered
+/// over a million-foot square independently of its edge lengths (1..1000
+/// ft), so both potential scales collapse to (nearly) zero.
+fn arb_decoupled_graph() -> impl Strategy<Value = rap_graph::RoadGraph> {
+    (2usize..12).prop_flat_map(|n| {
+        let points = proptest::collection::vec((0.0f64..1e6, 0.0f64..1e6), n);
+        let edges = proptest::collection::vec((0..n as u32, 0..n as u32, 1u64..1_000), 1..40);
+        (points, edges).prop_map(|(points, edges)| {
+            let mut b = GraphBuilder::new();
+            for (x, y) in points {
+                b.add_node(Point::new(x, y));
+            }
+            for (s, d, l) in edges {
+                if s != d {
+                    let _ = b.add_edge(NodeId::new(s), NodeId::new(d), Distance::from_feet(l));
+                }
+            }
+            b.build()
+        })
+    })
 }
 
 proptest! {
@@ -248,15 +270,14 @@ proptest! {
         prop_assert!(DistanceMatrix::dijkstra_all(&g).strongly_connected());
     }
 
-    /// ALT-pruned target runs on adversarial random graphs — sparse, dense,
-    /// unreachable targets, duplicate targets, any landmark count — are
-    /// bit-identical to the unpruned reference.
+    /// Goal-directed target runs on adversarial random graphs — sparse,
+    /// dense, unreachable targets, duplicate targets, the root as a target
+    /// — give every target the reference tree's path.
     #[test]
-    fn alt_pruned_target_runs_are_bit_identical(
+    fn goal_directed_target_runs_match_reference_tree(
         (n, edges) in arb_graph(),
         root_raw in 0usize..64,
         target_raw in proptest::collection::vec(0usize..64, 1..6),
-        lm_count in 1usize..5,
     ) {
         let g = build(n, &edges);
         let root = NodeId::new((root_raw % n) as u32);
@@ -264,36 +285,103 @@ proptest! {
             .iter()
             .map(|&t| NodeId::new((t % n) as u32))
             .collect();
-        let lm = Landmarks::select(&g, lm_count);
-        assert_pruned_matches_unpruned(&g, root, &targets, &lm)?;
+        assert_targets_match_reference(&g, root, &targets)?;
     }
 
-    /// The same identity over uniform grids, where many equal-length paths
-    /// tie and the landmark lower bounds are frequently exact — the
-    /// worst case for an off-by-one in the strict pruning inequality.
+    /// The same identity over unjittered grids, where every monotone
+    /// staircase ties and the L1 potential is exact (scale 1): the worst
+    /// case for the canonical tie rule.
     #[test]
-    fn alt_pruned_grid_runs_are_bit_identical(
-        rows in 2u32..7,
-        cols in 2u32..7,
+    fn goal_directed_grid_runs_match_reference_tree(
+        rows in 2u32..9,
+        cols in 2u32..9,
         spacing in 1u64..400,
-        root_raw in 0u32..64,
-        target_raw in proptest::collection::vec(0u32..64, 1..5),
+        root_raw in 0u32..128,
+        target_raw in proptest::collection::vec(0u32..128, 1..5),
     ) {
         let grid = GridGraph::new(rows, cols, Distance::from_feet(spacing));
         let n = grid.graph().node_count() as u32;
         let root = NodeId::new(root_raw % n);
         let targets: Vec<NodeId> =
             target_raw.iter().map(|&t| NodeId::new(t % n)).collect();
-        let lm = Landmarks::select(grid.graph(), 3);
-        assert_pruned_matches_unpruned(grid.graph(), root, &targets, &lm)?;
+        assert_targets_match_reference(grid.graph(), root, &targets)?;
+    }
+
+    /// Random geometric graphs (straight-line street lengths, L2 scale near
+    /// 1): the potential is tight and the search narrow.
+    #[test]
+    fn goal_directed_geometric_runs_match_reference_tree(
+        seed in 0u64..1_000,
+        n in 2usize..40,
+        root_raw in 0usize..64,
+        target_raw in proptest::collection::vec(0usize..64, 1..5),
+    ) {
+        let bb = BoundingBox::new(Point::new(0.0, 0.0), Point::new(4_000.0, 4_000.0));
+        let g = rap_graph::generators::random_geometric(n, bb, 900.0, seed);
+        let root = NodeId::new((root_raw % n) as u32);
+        let targets: Vec<NodeId> = target_raw
+            .iter()
+            .map(|&t| NodeId::new((t % n) as u32))
+            .collect();
+        assert_targets_match_reference(&g, root, &targets)?;
+    }
+
+    /// Coordinates decoupled from weights: the scales fall to (nearly) zero
+    /// and the search degrades to Dijkstra order, still on reference paths.
+    #[test]
+    fn goal_directed_runs_with_decoupled_coordinates_match_reference_tree(
+        g in arb_decoupled_graph(),
+        root_raw in 0usize..64,
+        target_raw in proptest::collection::vec(0usize..64, 1..5),
+    ) {
+        let n = g.node_count();
+        prop_assert!(g.potential().l1_scale() < 0.01);
+        let root = NodeId::new((root_raw % n) as u32);
+        let targets: Vec<NodeId> = target_raw
+            .iter()
+            .map(|&t| NodeId::new((t % n) as u32))
+            .collect();
+        assert_targets_match_reference(&g, root, &targets)?;
+    }
+
+    /// The potential is consistent in both directions on every edge,
+    /// `π(u) ≤ w(u, v) + π(v)` and `π(v) ≤ w(u, v) + π(u)`, and zero on the
+    /// targets — on geometric graphs with coordinates up to a million feet,
+    /// where float rounding is largest, and on decoupled ones.
+    #[test]
+    fn potential_is_consistent_on_every_edge(
+        seed in 0u64..1_000,
+        n in 2usize..40,
+        extent in 1_000.0f64..1e6,
+        decoupled in arb_decoupled_graph(),
+        target_raw in proptest::collection::vec(0usize..64, 1..5),
+    ) {
+        let bb = BoundingBox::new(Point::new(0.0, 0.0), Point::new(extent, extent));
+        let geometric = rap_graph::generators::random_geometric(n, bb, extent / 4.0, seed);
+        for g in [&geometric, &decoupled] {
+            let pot = g.potential();
+            let goals: Vec<Point> = target_raw
+                .iter()
+                .map(|&t| g.point(NodeId::new((t % g.node_count()) as u32)))
+                .collect();
+            let pi = |v: NodeId| pot.to_nearest(g.point(v), &goals);
+            for e in g.edges() {
+                prop_assert!(pi(e.src) <= e.length.saturating_add(pi(e.dst)), "{:?}", e);
+                prop_assert!(pi(e.dst) <= e.length.saturating_add(pi(e.src)), "{:?}", e);
+            }
+            for &p in &goals {
+                prop_assert_eq!(pot.to_nearest(p, &goals), Distance::ZERO);
+            }
+        }
     }
 
     /// Zero-length edges (unconstructible through the public API, injected
-    /// via the test-only builder hook) must not break the pruning identity:
-    /// a zero lower bound makes the strict inequality maximally permissive,
-    /// never wrong.
+    /// via the test-only builder hook) zero both scales. Goal-directed runs
+    /// keep exact distances and return real walks of that length; the
+    /// node sequence may differ from the reference, whose own settle order
+    /// stops being `(distance, id)` once zero-length edges exist.
     #[test]
-    fn alt_pruning_survives_zero_length_edges(
+    fn goal_directed_runs_survive_zero_length_edges(
         n in 2usize..10,
         edges in proptest::collection::vec((0u32..10, 0u32..10, 0u64..60), 1..30),
         root_raw in 0usize..64,
@@ -319,29 +407,22 @@ proptest! {
             .iter()
             .map(|&t| NodeId::new((t % n) as u32))
             .collect();
-        let lm = Landmarks::select(&g, 2);
-        // Settle order within a distance tie can differ between the kernel
-        // and the plain binary-heap reference once zero-length edges exist,
-        // so only the pruned-vs-unpruned halves of the identity apply here
-        // (same workspace, same order); distances stay uniquely determined.
+        let mut ws = SsspWorkspace::for_graph(&g);
         for direction in [Direction::Forward, Direction::Reverse] {
             let reference = match direction {
                 Direction::Forward => dijkstra::shortest_path_tree(&g, root),
                 Direction::Reverse => dijkstra::reverse_shortest_path_tree(&g, root),
             };
-            let mut plain = SsspWorkspace::for_graph(&g);
-            let mut pruned = SsspWorkspace::for_graph(&g);
-            plain.run_to_targets(&g, root, direction, &targets);
-            pruned.run_to_targets_pruned(&g, root, direction, &targets, &lm);
+            ws.run_to_targets(&g, root, direction, &targets);
             for &t in &targets {
-                prop_assert_eq!(plain.distance(t), pruned.distance(t));
-                prop_assert_eq!(pruned.distance(t), reference.distance(t));
-                match plain.path_to(t) {
-                    Ok(path) => {
-                        let pp = pruned.path_to(t).expect("pruned run reaches target");
-                        prop_assert_eq!(pp.nodes(), path.nodes());
-                    }
-                    Err(_) => prop_assert!(pruned.path_to(t).is_err()),
+                prop_assert_eq!(ws.distance(t), reference.distance(t));
+                // Both orientations extract a forward walk.
+                if let Ok(path) = ws.path_to(t) {
+                    let revalidated = rap_graph::Path::new(&g, path.nodes().to_vec())
+                        .expect("goal-directed path is a walk");
+                    prop_assert_eq!(Some(revalidated.length()), reference.distance(t));
+                } else {
+                    prop_assert!(reference.distance(t).is_none());
                 }
             }
         }

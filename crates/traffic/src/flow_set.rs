@@ -11,7 +11,6 @@ use crate::error::TrafficError;
 use crate::flow::{FlowId, FlowSpec, TrafficFlow};
 use crate::parallel;
 use rap_graph::dijkstra::Direction;
-use rap_graph::landmarks::Landmarks;
 use rap_graph::sssp::SsspWorkspace;
 use rap_graph::tiles::TileGrid;
 use rap_graph::{Distance, NodeId, RoadGraph};
@@ -19,10 +18,10 @@ use std::collections::HashMap;
 
 /// Acceleration inputs for [`FlowSet::route_with`].
 ///
-/// The default routes exactly like [`FlowSet::route`]: sequential, plain
-/// early-exit Dijkstra, original spec order. Each field independently
-/// switches on one acceleration; all combinations produce **bit-identical**
-/// flow sets (see the field docs for why).
+/// The default routes exactly like [`FlowSet::route`]: sequential, original
+/// spec order. Each field independently switches on one acceleration; all
+/// combinations produce **bit-identical** flow sets (see the field docs for
+/// why).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouteOptions<'a> {
     /// Worker threads for origin-group fan-out. `None` routes sequentially;
@@ -31,11 +30,6 @@ pub struct RouteOptions<'a> {
     /// when the clamp leaves one worker, as [`FlowSet::route_parallel`]
     /// documents).
     pub threads: Option<usize>,
-    /// Landmark tables enabling ALT-pruned target searches
-    /// ([`SsspWorkspace::run_to_targets_pruned`]). Pruning only skips node
-    /// expansions that provably cannot improve any remaining target, so
-    /// settled distances and predecessors on destinations are unchanged.
-    pub landmarks: Option<&'a Landmarks>,
     /// Spatial tiling: origin groups are *processed* in tile order so
     /// consecutive shortest-path trees start in the same cache-local shard.
     /// Each origin's tree is independent, and flows keep their original spec
@@ -127,8 +121,7 @@ impl FlowSet {
     }
 
     /// [`FlowSet::route`] with opt-in accelerations ([`RouteOptions`]):
-    /// worker threads, ALT-pruned target searches, and tile-batched
-    /// processing order. Every combination is **bit-identical** to plain
+    /// worker threads and tile-batched processing order. Every combination is **bit-identical** to plain
     /// sequential routing — same paths, same flow ids, same first-visit
     /// index, and on failure the same error.
     ///
@@ -146,8 +139,8 @@ impl FlowSet {
     ///
     /// # Panics
     ///
-    /// Panics if `opts.landmarks` or `opts.tiles` were built for a graph
-    /// with a different node count than `graph`.
+    /// Panics if `opts.tiles` was built for a graph with a different node
+    /// count than `graph`.
     pub fn route_with(
         graph: &RoadGraph,
         specs: Vec<FlowSpec>,
@@ -188,15 +181,7 @@ impl FlowSet {
                     }
                 }
                 let (origin, idxs) = &groups[g];
-                if let Err(e) = route_group(
-                    graph,
-                    &mut ws,
-                    &specs,
-                    *origin,
-                    idxs,
-                    &mut flows,
-                    opts.landmarks,
-                ) {
+                if let Err(e) = route_group(graph, &mut ws, &specs, *origin, idxs, &mut flows) {
                     first_err = Some((g, e));
                 }
             }
@@ -219,7 +204,6 @@ impl FlowSet {
         let outputs: Vec<WorkerOutput> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let landmarks = opts.landmarks;
                     scope.spawn(move |_| {
                         let start = (w * chunk).min(order_ref.len());
                         let end = ((w + 1) * chunk).min(order_ref.len());
@@ -234,9 +218,8 @@ impl FlowSet {
                                 }
                             }
                             let (origin, idxs) = &groups_ref[g];
-                            match route_group(
-                                graph, &mut ws, specs_ref, *origin, idxs, &mut flows, landmarks,
-                            ) {
+                            match route_group(graph, &mut ws, specs_ref, *origin, idxs, &mut flows)
+                            {
                                 Ok(()) => {
                                     for &i in idxs {
                                         routed.push((i, flows[i].take().expect("group routed")));
@@ -412,12 +395,10 @@ fn group_by_origin(
     Ok(groups)
 }
 
-/// Routes one origin group through the workspace: a single early-exit tree
-/// run settles every destination in the group, then each spec extracts its
-/// path. Settled distances are final, so the paths are bit-identical to a
-/// full-tree run's. With landmark tables the run additionally prunes node
-/// expansions that provably cannot improve any remaining destination, which
-/// changes nothing about settled targets (see `rap_graph::sssp`).
+/// Routes one origin group through the workspace: a single goal-directed
+/// target search settles every destination in the group, then each spec
+/// extracts its path — bit-identical to a full reference tree's (see
+/// `rap_graph::sssp`).
 fn route_group(
     graph: &RoadGraph,
     ws: &mut SsspWorkspace,
@@ -425,13 +406,9 @@ fn route_group(
     origin: NodeId,
     idxs: &[usize],
     flows: &mut [Option<TrafficFlow>],
-    landmarks: Option<&Landmarks>,
 ) -> Result<(), TrafficError> {
     let targets: Vec<NodeId> = idxs.iter().map(|&i| specs[i].destination()).collect();
-    match landmarks {
-        Some(lm) => ws.run_to_targets_pruned(graph, origin, Direction::Forward, &targets, lm),
-        None => ws.run_to_targets(graph, origin, Direction::Forward, &targets),
-    }
+    ws.run_to_targets(graph, origin, Direction::Forward, &targets);
     for &i in idxs {
         let spec = specs[i];
         let path = ws
@@ -678,24 +655,20 @@ mod tests {
             .map(|_| FlowSpec::new(NodeId::new(next()), NodeId::new(next()), 1.0).unwrap())
             .collect();
         let reference = FlowSet::route(g, specs.clone()).unwrap();
-        let lm = rap_graph::landmarks::Landmarks::select(g, 4);
         let tiles = TileGrid::build(g, 16);
         assert!(tiles.tile_count() > 1, "fixture must actually reorder");
         for threads in [None, Some(1), Some(3)] {
-            for landmarks in [None, Some(&lm)] {
-                for tile_grid in [None, Some(&tiles)] {
-                    let accel = FlowSet::route_with(
-                        g,
-                        specs.clone(),
-                        RouteOptions {
-                            threads,
-                            landmarks,
-                            tiles: tile_grid,
-                        },
-                    )
-                    .unwrap();
-                    assert_flow_sets_identical(&reference, &accel);
-                }
+            for tile_grid in [None, Some(&tiles)] {
+                let accel = FlowSet::route_with(
+                    g,
+                    specs.clone(),
+                    RouteOptions {
+                        threads,
+                        tiles: tile_grid,
+                    },
+                )
+                .unwrap();
+                assert_flow_sets_identical(&reference, &accel);
             }
         }
     }
@@ -730,7 +703,6 @@ mod tests {
                 RouteOptions {
                     threads,
                     tiles: Some(&tiles),
-                    ..RouteOptions::default()
                 },
             )
             .unwrap_err();
